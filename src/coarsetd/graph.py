@@ -231,8 +231,8 @@ def induced_subgraph(g, s):
             raise ValueError(f"vertex {v} outside range 1..{g.n}")
     edges = [
         (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
+        for u in vs for v in g.adjacency[u]
+        if u < v and v in index
     ]
     return Graph(len(vs), edges), vs
 

@@ -145,8 +145,9 @@ def augment(g, td, d):
     """Add an edge between any two bag-mates at distance <= d.
 
     Returns (h, identity quasi-isometry g -> h, td), the decomposition being
-    reused unchanged: new edges stay inside bags, traces are untouched. On a
-    connected graph the identity map is measured (its constant is at most
+    reused unchanged: new edges stay inside bags, traces are untouched. When
+    no edge is added, h is g itself, so the two share one distance table. On
+    a connected graph the identity map is measured (its constant is at most
     max(d, 1)); on a disconnected one it is returned unmeasured.
     """
     report = validate_decomposition(g, td)
@@ -166,7 +167,7 @@ def augment(g, td, d):
                 dist = row[v]
                 if dist is not UNREACHABLE and dist <= d:
                     edges.add((u, v))
-    h = Graph(g.n, edges)
+    h = g if len(edges) == g.m else Graph(g.n, edges)
     phi = identity_map(g, h)
     if g.n > 0 and g.is_connected():
         phi = measure(g, h, phi, max(d, 1))
@@ -353,11 +354,10 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP, metrics=None):
             f"bag independence number {metrics.independence_number} exceeds {k}"
         )
     bp = bipartite_partition(g, td, budget=budget, cap=cap, metrics=metrics)
-    quot = quotient(g, bp.partition)
     qmap = quotient_map(g, bp.partition, bp.max_diameter + 1)
     pushed = push_decomposition(g, td, bp.partition)
     return IndToTwResult(
-        quot,
+        qmap.target,
         qmap,
         pushed,
         bp.partition,

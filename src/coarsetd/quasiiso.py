@@ -28,12 +28,12 @@ from .errors import (
 from .graph import UNREACHABLE, distances_from_set
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuasiIsometryMap:
     """A total vertex map between two graphs, with its measured constant.
 
-    `measured_q` is None until the map has been measured; once set it is the
-    minimal constant for which all three quasi-isometry conditions hold.
+    `measured_q` is None until `measure` returns a copy carrying the minimal
+    constant for which all three quasi-isometry conditions hold.
     """
 
     source: object
@@ -42,7 +42,7 @@ class QuasiIsometryMap:
     measured_q: int | None = None
 
     def __post_init__(self):
-        self.mapping = dict(self.mapping)
+        object.__setattr__(self, "mapping", dict(self.mapping))
         if set(self.mapping) != set(self.source.vertices):
             raise InvalidMapError("map is not total on the source vertices")
         for v, x in self.mapping.items():
@@ -84,11 +84,11 @@ def qi_constant(g, h, phi, qmax):
     _check_inputs(g, h, phi)
     dg = g.distances()
     dh = h.distances()
+    img = [0] + [phi.mapping[v] for v in g.vertices]
     pairs = set()
     for u in g.vertices:
-        row_g = dg.row(u)
-        for v in range(u + 1, g.n + 1):
-            pairs.add((row_g[v], dh.dist(phi.mapping[u], phi.mapping[v])))
+        row_h = dh.row(img[u])
+        pairs.update(zip(dg.row(u)[u + 1:], map(row_h.__getitem__, img[u + 1:])))
     coverage = distances_from_set(h, phi.image())
     cov_max = max(coverage[x] for x in h.vertices)
     for q in range(1, qmax + 1):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coarsetd import (
@@ -11,7 +13,13 @@ from coarsetd import (
     power_graph,
     weak_diameter,
 )
-from helpers import complete_graph, cycle_graph, edgeless_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    path_graph,
+    random_graph,
+)
 
 
 def test_construction_rejects_bad_edges():
@@ -82,6 +90,23 @@ def test_induced_subgraph():
     sub, vs = induced_subgraph(g, {2, 3, 4})
     assert vs == [2, 3, 4]
     assert sub.edges == frozenset({(1, 2), (2, 3)})
+
+
+def test_induced_subgraph_matches_edge_filter():
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 14), rng.random())
+        chosen = {v for v in g.vertices if rng.random() < 0.5}
+        singleton = {rng.randint(1, g.n)} if g.n else set()
+        for s in (set(), singleton, set(g.vertices), chosen):
+            sub, vs = induced_subgraph(g, s)
+            index = {v: i + 1 for i, v in enumerate(sorted(s))}
+            expected = Graph(len(s), [
+                (index[u], index[v]) for u, v in g.edges
+                if u in s and v in s
+            ])
+            assert vs == sorted(s)
+            assert sub == expected
 
 
 def test_components():

@@ -174,8 +174,28 @@ def test_push_validity_and_independence_random():
 def test_augment_d1_keeps_graph():
     g = path_graph(5)
     h, phi, td = augment(g, p5_bags_td(), 1)
-    assert h == g
+    assert h is g
     assert phi.measured_q == 1
+
+
+def test_pipeline_d1_shares_distance_table(monkeypatch):
+    import coarsetd.graph
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 60, random.Random(5))
+    g, td = inst.graph, inst.decomposition
+    bfs = coarsetd.graph.single_source_distances
+    calls = []
+
+    def counting_bfs(graph, source):
+        calls.append(source)
+        return bfs(graph, source)
+
+    monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_bfs)
+    report = run_pipeline(g, td, 2, 1)
+    assert report.components[0].augmented is g
+    # one BFS per vertex of g (shared with h) and of the quotient
+    assert len(calls) == g.n + report.final_graph.n
 
 
 def test_augment_p5():

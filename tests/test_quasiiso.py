@@ -121,17 +121,38 @@ def test_matches_brute_force():
     from coarsetd.generators import random_connected_graph
 
     rng = random.Random(9)
-    for _ in range(60):
-        g = random_connected_graph(rng.randint(1, 8), 0.35, rng)
-        h = random_connected_graph(rng.randint(1, 6), 0.35, rng)
+    seen = set()
+    for i in range(120):
+        g = random_connected_graph(1 if i < 4 else rng.randint(1, 25), 0.2, rng)
+        h = random_connected_graph(rng.randint(1, 12), 0.3, rng)
         mapping = {v: rng.randint(1, h.n) for v in g.vertices}
         phi = QuasiIsometryMap(g, h, mapping)
-        expected = qi_constant_brute(g, h, mapping, 10)
+        qmax = rng.randint(1, 5)
+        expected = qi_constant_brute(g, h, mapping, qmax)
         if expected is None:
             with pytest.raises(NotWithinError):
-                qi_constant(g, h, phi, 10)
+                qi_constant(g, h, phi, qmax)
         else:
-            assert qi_constant(g, h, phi, 10) == expected
+            assert qi_constant(g, h, phi, qmax) == expected
+        seen.add(("n=1", g.n == 1))
+        seen.add(("large", g.n >= 20))
+        seen.add(("injective", len(phi.image()) == g.n))
+        seen.add(("onto", phi.image() == frozenset(h.vertices)))
+        seen.add(("within", expected is not None))
+    # every kind of case, each way round, was checked
+    assert len(seen) == 10
+
+
+def test_map_is_frozen():
+    from dataclasses import FrozenInstanceError
+
+    g = path_graph(3)
+    phi = measure(g, g, identity_map(g, g), 3)
+    with pytest.raises(FrozenInstanceError):
+        phi.measured_q = 2
+    with pytest.raises(FrozenInstanceError):
+        phi.mapping = {1: 1, 2: 1, 3: 1}
+    assert phi.measured_q == 1 and phi.mapping == {1: 1, 2: 2, 3: 3}
 
 
 def test_compose_identities():
