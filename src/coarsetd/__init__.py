@@ -22,7 +22,6 @@ from .graph import (
     UNREACHABLE,
     DistanceMatrix,
     Graph,
-    all_pairs_distances,
     complement_graph,
     induced_subgraph,
     is_bipartite,
@@ -53,12 +52,10 @@ from .decomposition import (
     centred_check_decomposition,
     decomposition_from_order,
     validate_decomposition,
-    width,
 )
 from .quasiiso import (
     QuasiIsometryMap,
     compose,
-    composition_bound,
     identity_map,
     measure,
     middle_vertex,

@@ -17,6 +17,7 @@ from .decomposition import (
     bag_metrics,
     centred_check,
     centred_check_decomposition,
+    require_valid,
     validate_decomposition,
 )
 from .errors import CoarseTDError
@@ -100,12 +101,12 @@ def _finish(ctx, report, outdir=None, artifacts=()):
 
 
 def _wrap(fn):
-    """Convert package errors into clean CLI failures."""
+    """Convert package errors and rejected arguments into clean CLI failures."""
 
     def runner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CoarseTDError as exc:
+        except (CoarseTDError, ValueError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     runner.__name__ = fn.__name__
@@ -219,6 +220,7 @@ def augment_cmd(ctx, graph_path, td_path, d, outdir):
     report = Report("augment", parameters={"d": d})
     g = _load_graph(graph_path, report)
     td = _load_td(td_path, report, ctx.obj.shape, g)
+    require_valid(g, td)
     h, phi, _ = augment(g, td, d)
     report.measured["added_edges"] = h.m - g.m
     if phi.measured_q is not None:
@@ -267,9 +269,11 @@ def bipartite_partition_cmd(ctx, graph_path, td_path, budget, out_path):
     report = Report("bipartite-partition", parameters={"budget": budget})
     g = _load_graph(graph_path, report)
     td = _load_td(td_path, report, ctx.obj.shape, g)
-    result = bipartite_partition(g, td, budget=budget, cap=ctx.obj.cap)
+    require_valid(g, td)
+    metrics = bag_metrics(g, td, cap=ctx.obj.cap)
+    result = bipartite_partition(g, budget=budget)
     report.measured["max_diameter"] = result.max_diameter
-    report.measured["domination_number"] = result.domination_number
+    report.measured["domination_number"] = metrics.domination_number
     report.measured["parts"] = len(result.partition)
     report.measured["method"] = result.method
     report.checks["quotient_bipartite"] = True

@@ -7,11 +7,11 @@ whose tree has maximum degree 2; every operation is shape-agnostic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
     EmptySetError,
+    InvalidDecompositionError,
     MalformedDecompositionError,
     TooLargeError,
 )
@@ -25,6 +25,7 @@ from .exact import (
 )
 from .graph import (
     Graph,
+    bfs,
     complement_graph,
     induced_subgraph,
     is_tree,
@@ -72,10 +73,6 @@ class TreeDecomposition:
         )
 
 
-def width(td):
-    return td.width
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -108,18 +105,18 @@ def validate_decomposition(g, td):
             return ValidationReport(False, "vertex_uncovered", v)
     for v in g.vertices:
         trace = traces[v]
-        root = next(iter(trace))
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            t = queue.popleft()
-            for s in td.tree.adjacency[t]:
-                if s in trace and s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-        if seen != trace:
+        if len(bfs(td.tree.adjacency, [next(iter(trace))], within=trace)) < len(trace):
             return ValidationReport(False, "trace_disconnected", v)
     return ValidationReport(True)
+
+
+def require_valid(g, td, what="decomposition"):
+    """Raise InvalidDecompositionError naming the first violation, if any."""
+    report = validate_decomposition(g, td)
+    if not report.ok:
+        raise InvalidDecompositionError(
+            f"{what} invalid: {report.kind} at {report.witness}"
+        )
 
 
 def decomposition_from_order(g, order):
@@ -233,14 +230,18 @@ def centred_check_decomposition(g, td, k, d, cap=DEFAULT_CAP, mode="exact"):
             per_bag[t] = centred_check(g, bag, k, d, cap=cap, mode=mode)
         except TooLargeError as exc:
             raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
-    verdicts = [r.centred for r in per_bag.values()]
+    return CentredDecompositionResult(_all_centred(per_bag.values()), per_bag, k, d)
+
+
+def _all_centred(results):
+    """Tri-state conjunction of verdicts: any False, else any None (unknown),
+    else True."""
+    verdicts = [r.centred for r in results]
     if any(v is False for v in verdicts):
-        overall = False
-    elif any(v is None for v in verdicts):
-        overall = None
-    else:
-        overall = True
-    return CentredDecompositionResult(overall, per_bag, k, d)
+        return False
+    if any(v is None for v in verdicts):
+        return None
+    return True
 
 
 @dataclass(frozen=True)
@@ -284,19 +285,7 @@ def bag_metrics(g, td, k=None, d=None, cap=DEFAULT_CAP, mode="exact"):
         per_bag[t] = BagStat(len(bag), alpha, gamma, centred)
     alpha_max = max(stat.independence_number for stat in per_bag.values())
     gamma_max = max(stat.domination_number for stat in per_bag.values())
-    all_centred = None
-    if k is not None and d is not None:
-        verdicts = [s.centred.centred for s in per_bag.values() if s.centred]
-        if any(v is False for v in verdicts):
-            all_centred = False
-        elif any(v is None for v in verdicts):
-            all_centred = None
-        else:
-            all_centred = True
-    return BagMetrics(
-        per_bag,
-        alpha_max,
-        gamma_max,
-        (k, d) if k is not None and d is not None else None,
-        all_centred,
-    )
+    if k is None or d is None:
+        return BagMetrics(per_bag, alpha_max, gamma_max)
+    all_centred = _all_centred(s.centred for s in per_bag.values() if s.centred)
+    return BagMetrics(per_bag, alpha_max, gamma_max, (k, d), all_centred)

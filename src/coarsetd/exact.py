@@ -156,23 +156,24 @@ def k_coloring(g, k):
     for v in g.vertices:
         earlier[v] = [w for w in sorted(g.adjacency[v]) if w < v]
     colors = [-1] * (n + 1)
-
-    def assign(v, used):
+    # iterative depth-first search; used[v] counts the colors taken before v
+    used = [0] * (n + 2)
+    v = 1
+    while v:
         if v > n:
-            return True
-        limit = min(used + 1, k)
+            return colors[1:]
         blocked = {colors[w] for w in earlier[v]}
-        for c in range(limit):
-            if c in blocked:
-                continue
+        limit = min(used[v] + 1, k)
+        c = colors[v] + 1
+        while c < limit and c in blocked:
+            c += 1
+        if c < limit:
             colors[v] = c
-            if assign(v + 1, used + 1 if c == used else used):
-                return True
-        colors[v] = -1
-        return False
-
-    if assign(1, 0):
-        return colors[1:]
+            used[v + 1] = max(used[v], c + 1)
+            v += 1
+        else:
+            colors[v] = -1
+            v -= 1
     return None
 
 

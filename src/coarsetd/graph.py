@@ -84,18 +84,10 @@ class Graph:
         seen = set()
         comps = []
         for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if root not in seen:
+                comp = frozenset(bfs(self.adjacency, [root]))
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def is_connected(self):
@@ -149,28 +141,32 @@ def single_source_distances(g, source):
     return dist
 
 
+def bfs(adj, sources, within=None):
+    """Breadth-first search over the adjacency map `adj`.
+
+    Returns {vertex: depth} in visit order, depth 0 at the sources. When
+    `within` is given, only its members are entered besides the sources.
+    """
+    depth = dict.fromkeys(sources, 0)
+    queue = deque(depth)
+    while queue:
+        u = queue.popleft()
+        du = depth[u] + 1
+        for w in adj[u]:
+            if w not in depth and (within is None or w in within):
+                depth[w] = du
+                queue.append(w)
+    return depth
+
+
 def distances_from_set(g, sources):
     """Multi-source BFS: distance from each vertex to the nearest source."""
     if not sources:
         raise EmptySetError("source set must be non-empty")
     dist = [UNREACHABLE] * (g.n + 1)
-    queue = deque()
-    for s in sources:
-        if dist[s] is UNREACHABLE:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
-            if dist[w] is UNREACHABLE:
-                dist[w] = du + 1
-                queue.append(w)
+    for v, dv in bfs(g.adjacency, sources).items():
+        dist[v] = dv
     return dist
-
-
-def all_pairs_distances(g):
-    return g.distances()
 
 
 def weak_diameter(g, s):
@@ -257,34 +253,21 @@ def is_bipartite(g):
     The coloring maps every vertex to 0/1; the odd cycle is a vertex list
     whose consecutive members (and the closing pair) are adjacent.
     """
-    color = {}
-    parent = {}
+    depth = {}
     for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(g.adjacency[u]):
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False, _odd_cycle(parent, u, w)
-    return True, color
+        if root not in depth:
+            depth.update(bfs(g.adjacency, [root]))
+    for u, w in g.edges:
+        if depth[u] == depth[w]:
+            return False, _odd_cycle(g, depth, u, w)
+    return True, {v: depth[v] & 1 for v in g.vertices}
 
 
-def _odd_cycle(parent, u, w):
-    anc_u = [u]
-    while parent[anc_u[-1]] is not None:
-        anc_u.append(parent[anc_u[-1]])
-    pos_u = {v: i for i, v in enumerate(anc_u)}
-    path_w = [w]
-    while path_w[-1] not in pos_u:
-        path_w.append(parent[path_w[-1]])
-    lca = path_w[-1]
-    cycle = anc_u[: pos_u[lca] + 1] + list(reversed(path_w[:-1]))
-    return cycle
+def _odd_cycle(g, depth, u, w):
+    """Adjacent u, w at equal BFS depth: climb both to their common ancestor."""
+    up_u, up_w = [u], [w]
+    while up_u[-1] != up_w[-1]:
+        for path in (up_u, up_w):
+            x = path[-1]
+            path.append(min(y for y in g.adjacency[x] if depth[y] == depth[x] - 1))
+    return up_u + up_w[-2::-1]

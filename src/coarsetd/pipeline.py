@@ -17,28 +17,27 @@ undefined.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .decomposition import (
     TreeDecomposition,
-    bag_metrics,
     centred_check_decomposition,
-    validate_decomposition,
+    require_valid,
 )
 from .errors import (
     BudgetExceededError,
     DiameterExceededError,
     DisconnectedError,
     EmptySetError,
-    InvalidDecompositionError,
     InvalidPartitionError,
     PreconditionError,
+    TooLargeError,
 )
-from .exact import DEFAULT_CAP, _check_cap
+from .exact import DEFAULT_CAP, _check_cap, exact_independence_number
 from .graph import (
     Graph,
     UNREACHABLE,
+    bfs,
     induced_subgraph,
     is_bipartite,
     weak_diameter,
@@ -96,16 +95,7 @@ class Partition:
 
 
 def _part_connected(g, members):
-    start = next(iter(members))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if w in members and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == members
+    return len(bfs(g.adjacency, [next(iter(members))], within=members)) == len(members)
 
 
 def quotient(g, p):
@@ -144,17 +134,13 @@ def push_decomposition(g, td, p):
 def augment(g, td, d):
     """Add an edge between any two bag-mates at distance <= d.
 
+    Precondition: td is a valid decomposition of g (not rechecked here).
     Returns (h, identity quasi-isometry g -> h, td), the decomposition being
     reused unchanged: new edges stay inside bags, traces are untouched. When
     no edge is added, h is g itself, so the two share one distance table. On
     a connected graph the identity map is measured (its constant is at most
     max(d, 1)); on a disconnected one it is returned unmeasured.
     """
-    report = validate_decomposition(g, td)
-    if not report.ok:
-        raise InvalidDecompositionError(
-            f"decomposition invalid: {report.kind} at {report.witness}"
-        )
     if d < 0:
         raise ValueError("d must be non-negative")
     dm = g.distances()
@@ -180,26 +166,16 @@ def layered_parts(g):
     Same-layer edges stay inside parts and cross-layer edges only join
     consecutive layers, so layer parity properly 2-colors the quotient.
     """
-    root = min(g.vertices)
-    dist = g.distances().row(root)
     layers = {}
-    for v in g.vertices:
-        layers.setdefault(dist[v], set()).add(v)
+    for v, depth in bfs(g.adjacency, [min(g.vertices)]).items():
+        layers.setdefault(depth, set()).add(v)
     parts = []
-    for _, layer in sorted(layers.items()):
+    for layer in layers.values():
         remaining = set(layer)
         while remaining:
-            start = min(remaining)
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in g.adjacency[u]:
-                    if w in layer and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            parts.append(frozenset(comp))
-            remaining -= comp
+            part = frozenset(bfs(g.adjacency, [remaining.pop()], within=layer))
+            parts.append(part)
+            remaining -= part
     return parts
 
 
@@ -207,11 +183,10 @@ def layered_parts(g):
 class BipartitePartitionResult:
     partition: Partition
     max_diameter: int
-    domination_number: int
     method: str
 
 
-def bipartite_partition(g, td, budget=None, cap=DEFAULT_CAP, metrics=None):
+def bipartite_partition(g, budget=None):
     """Partition g into connected parts whose quotient is bipartite.
 
     The default is BFS layering; the achieved maximum weak diameter is
@@ -223,13 +198,6 @@ def bipartite_partition(g, td, budget=None, cap=DEFAULT_CAP, metrics=None):
         raise EmptySetError("cannot partition the empty graph")
     if not g.is_connected():
         raise DisconnectedError("bipartite partition needs a connected graph")
-    report = validate_decomposition(g, td)
-    if not report.ok:
-        raise InvalidDecompositionError(
-            f"decomposition invalid: {report.kind} at {report.witness}"
-        )
-    if metrics is None:
-        metrics = bag_metrics(g, td, cap=cap)
     partition = Partition(g, layered_parts(g))
     diam = max(weak_diameter(g, part) for part in partition.parts)
     method = "layering"
@@ -242,9 +210,7 @@ def bipartite_partition(g, td, budget=None, cap=DEFAULT_CAP, metrics=None):
     bip, _ = is_bipartite(quotient(g, partition))
     if not bip:
         raise AssertionError("internal error: partition quotient is not bipartite")
-    return BipartitePartitionResult(
-        partition, diam, metrics.domination_number, method
-    )
+    return BipartitePartitionResult(partition, diam, method)
 
 
 def minimum_diameter_bipartite_partition(g):
@@ -264,60 +230,35 @@ def minimum_diameter_bipartite_partition(g):
         dm.dist(u, v) for u in g.vertices for v in g.vertices if u != v
     ) if g.n > 1 else 0
     for bound in range(diameter + 1):
-        parts = _search_partition(g, dm, bound)
-        if parts is not None:
-            return Partition(g, parts), bound
+        partition = _search_partition(g, dm, bound)
+        if partition is not None:
+            return partition, bound
     raise AssertionError("internal error: the one-part partition always works")
 
 
 def _search_partition(g, dm, bound):
     n = g.n
-    assignment = [0] * (n + 1)
     parts = []
 
     def feasible(v, members):
         row = dm.row(v)
         return all(row[u] is not UNREACHABLE and row[u] <= bound for u in members)
 
-    def quotient_bipartite():
-        color = {}
-        adj = {i: set() for i in range(len(parts))}
-        for u, v in g.edges:
-            a, b = assignment[u], assignment[v]
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        for root in range(len(parts)):
-            if root in color:
-                continue
-            color[root] = 0
-            queue = deque([root])
-            while queue:
-                i = queue.popleft()
-                for j in adj[i]:
-                    if j not in color:
-                        color[j] = color[i] ^ 1
-                        queue.append(j)
-                    elif color[j] == color[i]:
-                        return False
-        return True
-
     def extend(v):
         if v > n:
-            if all(_part_connected(g, frozenset(part)) for part in parts):
-                if quotient_bipartite():
-                    return [list(part) for part in parts]
-            return None
-        for i, part in enumerate(parts):
+            try:
+                partition = Partition(g, parts)
+            except InvalidPartitionError:  # some part is disconnected
+                return None
+            return partition if is_bipartite(quotient(g, partition))[0] else None
+        for part in parts:
             if feasible(v, part):
                 part.append(v)
-                assignment[v] = i
                 got = extend(v + 1)
                 if got is not None:
                     return got
                 part.pop()
         parts.append([v])
-        assignment[v] = len(parts) - 1
         got = extend(v + 1)
         if got is not None:
             return got
@@ -336,24 +277,28 @@ class IndToTwResult:
     decomposition: TreeDecomposition
     partition: Partition
     partition_diameter: int
-    domination_number: int
     independence_number: int
     partition_method: str
 
 
-def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP, metrics=None):
+def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
     """Contract a bipartite-quotient partition and push the decomposition.
 
+    Precondition: td is a valid decomposition of g (not rechecked here).
     Requires bag independence at most k; the pushed decomposition then has
     bags of at most 2k quotient vertices, i.e. width at most 2k-1.
     """
-    if metrics is None:
-        metrics = bag_metrics(g, td, cap=cap)
-    if metrics.independence_number > k:
-        raise PreconditionError(
-            f"bag independence number {metrics.independence_number} exceeds {k}"
-        )
-    bp = bipartite_partition(g, td, budget=budget, cap=cap, metrics=metrics)
+    alpha = 0
+    for t in sorted(td.nodes):
+        if td.bag(t):
+            sub, _ = induced_subgraph(g, td.bag(t))
+            try:
+                alpha = max(alpha, exact_independence_number(sub, cap))
+            except TooLargeError as exc:
+                raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
+    if alpha > k:
+        raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
+    bp = bipartite_partition(g, budget=budget)
     qmap = quotient_map(g, bp.partition, bp.max_diameter + 1)
     pushed = push_decomposition(g, td, bp.partition)
     return IndToTwResult(
@@ -362,8 +307,7 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP, metrics=None):
         pushed,
         bp.partition,
         bp.max_diameter,
-        bp.domination_number,
-        metrics.independence_number,
+        alpha,
         bp.method,
     )
 
@@ -524,11 +468,7 @@ def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CA
         raise ValueError("d must be non-negative")
     if g.n == 0:
         raise EmptySetError("cannot run the pipeline on the empty graph")
-    report = validate_decomposition(g, td)
-    if not report.ok:
-        raise InvalidDecompositionError(
-            f"decomposition invalid: {report.kind} at {report.witness}"
-        )
+    require_valid(g, td)
     comps = g.connected_components()
     runs = []
     if len(comps) == 1:

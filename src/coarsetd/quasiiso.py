@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .decomposition import TreeDecomposition, validate_decomposition
+from .decomposition import TreeDecomposition, require_valid
 from .errors import (
     CompositionMismatchError,
     DisconnectedError,
     EmptySetError,
-    InvalidDecompositionError,
     InvalidMapError,
     NotWithinError,
     PreconditionError,
@@ -126,11 +125,6 @@ def compose(phi1, phi2):
     return measure(phi1.source, phi2.target, composed, bound)
 
 
-def composition_bound(c, q):
-    """The guaranteed constant for a c-map followed by a q-map."""
-    return q * (c + 2)
-
-
 def shortest_path_lex(h, a, b):
     """Lexicographically smallest shortest (a,b)-path, as a vertex list."""
     dist = h.distances()
@@ -159,16 +153,12 @@ def pullback_decomposition(g, h, phi, td_h, c):
     Each node keeps its tree position; its new bag is the union, over the
     old bag's members x, of the set of g-vertices whose image lies within
     distance c of x. The result is a decomposition of g whose bags split
-    into at most width(td_h)+1 pieces of weak diameter at most 3c^2.
+    into at most td_h.width + 1 pieces of weak diameter at most 3c^2.
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
     _check_inputs(g, h, phi)
-    report = validate_decomposition(h, td_h)
-    if not report.ok:
-        raise InvalidDecompositionError(
-            f"host decomposition invalid: {report.kind} at {report.witness}"
-        )
+    require_valid(h, td_h, "host decomposition")
     qi_constant(g, h, phi, c)  # raises NotWithinError if phi is not a c-qi
     dh = h.distances()
     by_image = {}

@@ -5,7 +5,6 @@ end-to-end run through the width-reducing pipeline.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition
@@ -19,7 +18,7 @@ from .exact import (
     exact_independence_number,
     minimum_dominating_set,
 )
-from .graph import Graph, induced_subgraph, is_tree, weak_diameter
+from .graph import Graph, bfs, induced_subgraph, is_tree, weak_diameter
 from .pipeline import PipelineReport, run_pipeline
 
 SIMVAL_CAP = 32
@@ -69,28 +68,13 @@ class BranchDecomposition:
     def leaf_of(self, v):
         return self.leaf_map[v]
 
-    def vertex_at(self, leaf):
-        for v, t in self.leaf_map.items():
-            if t == leaf:
-                return v
-        raise KeyError(leaf)
-
     def side(self, edge):
         """Vertices mapped into the component of edge[0] after removing edge."""
         a, b = edge
         if b not in self.tree.adjacency[a]:
             raise ValueError(f"({a},{b}) is not a tree edge")
-        # the unique (a,b)-path is this edge, so skipping it cuts off b's side
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            t = queue.popleft()
-            for s in self.tree.adjacency[t]:
-                if t == a and s == b:
-                    continue
-                if s not in seen:
-                    seen.add(s)
-                    queue.append(s)
+        # every path from a to b's side runs through b, so barring b cuts it off
+        seen = bfs(self.tree.adjacency, [a], within=set(self.tree.vertices) - {b})
         return frozenset(v for v, t in self.leaf_map.items() if t in seen)
 
     def __repr__(self):
@@ -150,16 +134,11 @@ def branch_width_sim(g, bd, cap=SIMVAL_CAP):
 
 def _tree_paths(tree):
     """Parent/depth tables rooted at node 1, for path walks."""
-    parent = {1: None}
-    depth = {1: 0}
-    queue = deque([1])
-    while queue:
-        t = queue.popleft()
-        for s in tree.adjacency[t]:
-            if s not in parent:
-                parent[s] = t
-                depth[s] = depth[t] + 1
-                queue.append(s)
+    depth = bfs(tree.adjacency, [1])
+    parent = {
+        t: next((s for s in tree.adjacency[t] if depth[s] < depth[t]), None)
+        for t in depth
+    }
     return parent, depth
 
 
@@ -319,18 +298,11 @@ def simwidth_pipeline(g, bd, cap=DEFAULT_CAP, simval_cap=SIMVAL_CAP, budget=None
 def direction_classes(g, bd, td, t):
     """For a non-leaf branch node, the split of its bag by the component of
     the tree minus t holding each vertex's leaf."""
-    comps = []
-    removed = set(bd.tree.adjacency[t])
-    for start in sorted(removed):
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for s in bd.tree.adjacency[x]:
-                if s != t and s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-        comps.append(seen)
+    others = set(bd.tree.vertices) - {t}
+    comps = [
+        bfs(bd.tree.adjacency, [start], within=others)
+        for start in sorted(bd.tree.adjacency[t])
+    ]
     bag = td.bag(t)
     return [
         frozenset(v for v in bag if bd.leaf_map[v] in comp) for comp in comps

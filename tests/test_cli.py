@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from coarsetd.cli import main
@@ -264,3 +265,44 @@ def test_shape_flag_enforced(tmp_path):
     ])
     assert result.exit_code != 0
     assert "degree" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["centred-check", "--graph", "{g}", "--set", "1,2", "--k", "0", "--d", "1"],
+    ["centred-check", "--graph", "{p3}", "--set", "1,9", "--k", "1", "--d", "1"],
+    ["augment", "--graph", "{g}", "--td", "{td}", "--d", "-1", "-o", "{out}"],
+    ["pipeline", "--graph", "{g}", "--td", "{td}", "--k", "0", "--d", "1",
+     "-o", "{out}"],
+    ["qi-constant", "--graph", "{g}", "--host", "{g}", "--map", "{map}",
+     "--qmax", "0"],
+    ["simval", "--graph", "{g}", "--set", "7"],
+])
+def test_rejected_arguments_exit_cleanly(tmp_path, args):
+    gr, td = write_c6(tmp_path)
+    p3 = tmp_path / "p3.gr"
+    p3.write_text(emit_graph(path_graph(3)))
+    mp = tmp_path / "id.map"
+    mp.write_text("".join(f"{v} {v}\n" for v in range(1, 7)))
+    paths = {"g": gr, "td": td, "p3": p3, "map": mp, "out": tmp_path / "out"}
+    result = run([arg.format(**paths) for arg in args])
+    assert result.exit_code == 1
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["augment", "--d", "1", "-o", "{out}"],
+    ["bipartite-partition"],
+    ["pipeline", "--k", "2", "--d", "1", "-o", "{out}"],
+])
+def test_invalid_decomposition_rejected(tmp_path, command):
+    gr, _ = write_c6(tmp_path)
+    td = tmp_path / "bad.td"
+    td.write_text("s td 2 3 6\nb 1 1 2 3\nb 2 4 5 6\n1 2\n")  # (3,4) uncovered
+    out = str(tmp_path / "out")
+    result = run([
+        command[0], "--graph", str(gr), "--td", str(td),
+        *(arg.format(out=out) for arg in command[1:]),
+    ])
+    assert result.exit_code != 0
+    assert "decomposition invalid" in result.output

@@ -15,7 +15,6 @@ from coarsetd import (
     exact_treewidth,
     validate_decomposition,
     weak_diameter,
-    width,
 )
 from helpers import (
     complete_graph,
@@ -92,10 +91,10 @@ def test_width():
     singles = TreeDecomposition(
         Graph(3, [(1, 2), (2, 3)]), {1: {1}, 2: {2}, 3: {3}}
     )
-    assert width(singles) == 0
-    assert width(p3_td()) == 1
+    assert singles.width == 0
+    assert p3_td().width == 1
     _, witness = exact_treewidth(cycle_graph(6))
-    assert width(witness) == 2
+    assert witness.width == 2
 
 
 def test_bag_metrics_c6():
@@ -181,6 +180,14 @@ def test_centred_heuristic_never_false():
     heur = centred_check(g, g.vertices, 2, 1, mode="heuristic")
     assert heur.centred is None
     assert centred_check(g, g.vertices, 3, 1, mode="heuristic").centred is True
+
+
+def test_centred_check_deeper_than_recursion_limit():
+    # one piece: the search assigns 1200 vertices in turn, deeper than
+    # the interpreter's default recursion limit
+    result = centred_check(path_graph(1200), range(1, 1201), 2, 1200, cap=5000)
+    assert result.centred is True
+    assert result.parts == (frozenset(range(1, 1201)),)
 
 
 def test_centred_empty_set_rejected():

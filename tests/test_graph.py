@@ -13,6 +13,7 @@ from coarsetd import (
     power_graph,
     weak_diameter,
 )
+from coarsetd.graph import bfs
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -141,6 +142,52 @@ def test_odd_cycle_witness():
     assert len(cycle) % 2 == 1
     for i, v in enumerate(cycle):
         assert g.has_edge(v, cycle[(i + 1) % len(cycle)])
+
+
+def reachable_depths(adj, sources, within):
+    """Fixed-point oracle: depth i holds the vertices first reached at step i."""
+    depth = dict.fromkeys(sources, 0)
+    frontier = set(depth)
+    step = 0
+    while frontier:
+        step += 1
+        frontier = {
+            w for u in frontier for w in adj[u]
+            if w not in depth and (within is None or w in within)
+        }
+        depth.update(dict.fromkeys(frontier, step))
+    return depth
+
+
+def test_bfs_matches_fixed_point_oracle():
+    rng = random.Random(71)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 25), rng.choice((0.05, 0.15, 0.3)))
+        sources = rng.sample(list(g.vertices), rng.randint(1, min(3, g.n)))
+        within = None
+        if rng.random() < 0.7:
+            within = {v for v in g.vertices if rng.random() < 0.6}
+        got = bfs(g.adjacency, sources, within=within)
+        assert got == reachable_depths(g.adjacency, sources, within)
+        assert list(got.values()) == sorted(got.values())  # visit order
+
+
+def test_bipartite_coloring_proper_and_witness_odd_closed():
+    rng = random.Random(72)
+    seen = set()
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.2, 0.4)))
+        ok, got = is_bipartite(g)
+        seen.add(ok)
+        if ok:
+            assert set(got) == set(g.vertices)
+            assert set(got.values()) <= {0, 1}
+            assert all(got[u] != got[v] for u, v in g.edges)
+        else:
+            assert len(got) % 2 == 1 and len(set(got)) == len(got)
+            for i, v in enumerate(got):
+                assert g.has_edge(v, got[(i + 1) % len(got)])
+    assert seen == {True, False}
 
 
 def test_complement():

@@ -7,6 +7,7 @@ from coarsetd import (
     DiameterExceededError,
     DisconnectedError,
     Graph,
+    InvalidDecompositionError,
     InvalidPartitionError,
     Partition,
     PreconditionError,
@@ -236,14 +237,14 @@ def test_augment_distance_sandwich():
 
 def test_bipartite_partition_bipartite_graph_gives_singletons():
     g = cycle_graph(6)
-    result = bipartite_partition(g, single_bag_td(g))
+    result = bipartite_partition(g)
     assert result.max_diameter == 0
     assert all(len(p) == 1 for p in result.partition.parts)
 
 
 def test_bipartite_partition_c6_layering():
     g = cycle_graph(6)
-    result = bipartite_partition(g, single_bag_td(g))
+    result = bipartite_partition(g)
     assert result.partition.parts == tuple(
         frozenset({v}) for v in range(1, 7)
     )
@@ -253,7 +254,7 @@ def test_bipartite_partition_c6_layering():
 
 def test_bipartite_partition_c5():
     g = cycle_graph(5)
-    result = bipartite_partition(g, single_bag_td(g))
+    result = bipartite_partition(g)
     assert result.max_diameter == 1
     bip, _ = is_bipartite(quotient(g, result.partition))
     assert bip
@@ -269,17 +270,16 @@ def test_bipartite_partition_c5():
 
 def test_bipartite_partition_budget():
     g = cycle_graph(5)
-    ok = bipartite_partition(g, single_bag_td(g), budget=1)
+    ok = bipartite_partition(g, budget=1)
     assert ok.max_diameter == 1
     with pytest.raises(BudgetExceededError):
-        bipartite_partition(g, single_bag_td(g), budget=0)
+        bipartite_partition(g, budget=0)
 
 
 def test_bipartite_partition_disconnected():
     g = Graph(4, [(1, 2), (3, 4)])
-    td = single_bag_td(g)
     with pytest.raises(DisconnectedError):
-        bipartite_partition(g, td)
+        bipartite_partition(g)
 
 
 def test_exact_partition_matches_layering_quality_or_better():
@@ -288,7 +288,7 @@ def test_exact_partition_matches_layering_quality_or_better():
 
     for _ in range(10):
         g = random_connected_graph(rng.randint(2, 8), 0.35, rng)
-        layered = bipartite_partition(g, single_bag_td(g))
+        layered = bipartite_partition(g)
         _, best = minimum_diameter_bipartite_partition(g)
         assert best <= layered.max_diameter
 
@@ -419,3 +419,54 @@ def test_pipeline_single_vertex_component():
     report = run_pipeline(g, td, 1, 1)
     assert len(report.components) == 2
     assert validate_decomposition(report.final_graph, report.final_decomposition).ok
+
+
+# ------------------------------------------------- validation at the boundary
+
+
+def disconnected_instance():
+    g = Graph(7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 6)])
+    tree = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    td = TreeDecomposition(
+        tree, {1: {1, 2}, 2: {2, 3}, 3: {4, 5, 6}, 4: {6, 7}}
+    )
+    return g, td
+
+
+def test_pipeline_rejects_invalid_decomposition():
+    g = path_graph(4)
+    uncovered = TreeDecomposition(Graph(2, [(1, 2)]), {1: {1, 2}, 2: {3, 4}})
+    with pytest.raises(InvalidDecompositionError, match="edge_uncovered"):
+        run_pipeline(g, uncovered, 2, 1)
+    g, td = disconnected_instance()
+    broken = TreeDecomposition(td.tree, {**td.bags, 4: {7}})  # edge (6,7) lost
+    with pytest.raises(InvalidDecompositionError, match="edge_uncovered"):
+        run_pipeline(g, broken, 2, 2)
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_pipeline_validates_exactly_once(monkeypatch, connected):
+    import sys
+
+    import coarsetd.decomposition
+
+    original = coarsetd.decomposition.validate_decomposition
+    calls = []
+
+    def counting(g, td):
+        calls.append(g)
+        return original(g, td)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coarsetd" and getattr(
+            module, "validate_decomposition", None
+        ) is original:
+            monkeypatch.setattr(module, "validate_decomposition", counting)
+    if connected:
+        g = cycle_graph(6)
+        td = single_bag_td(g)
+    else:
+        g, td = disconnected_instance()
+    report = run_pipeline(g, td, 2, 2)
+    assert len(report.components) == (1 if connected else 2)
+    assert calls == [g]

@@ -6,6 +6,7 @@ from coarsetd import (
     CompositionMismatchError,
     DisconnectedError,
     Graph,
+    InvalidDecompositionError,
     InvalidMapError,
     NotWithinError,
     PreconditionError,
@@ -14,7 +15,6 @@ from coarsetd import (
     UNREACHABLE,
     centred_check_decomposition,
     compose,
-    composition_bound,
     identity_map,
     measure,
     middle_vertex,
@@ -159,19 +159,16 @@ def test_compose_identities():
     g = cycle_graph(6)
     idm = measure(g, g, identity_map(g, g), 5)
     composed = compose(idm, idm)
-    assert composition_bound(1, 1) == 3
     assert composed.measured_q == 1
 
 
 def test_compose_bound_formula():
-    assert composition_bound(2, 1) == 4
-    assert composition_bound(1, 2) == 6
     g = cycle_graph(6)
     k1, phi = all_to_one(g)
     phi = measure(g, k1, phi, 5)  # c = 2
     idk = measure(k1, k1, identity_map(k1, k1), 5)  # q = 1
     composed = compose(phi, idk)
-    assert composed.measured_q <= composition_bound(2, 1)
+    assert composed.measured_q <= 1 * (2 + 2)  # q(c+2)
 
 
 def test_compose_mismatch():
@@ -213,6 +210,13 @@ def test_pullback_single_bag_host():
     assert out.bag(1) == frozenset(g.vertices)
     assert centred_check_decomposition(g, out, 1, 12).all_centred is True
     assert centred_check_decomposition(g, out, 2, 12).all_centred is True
+
+
+def test_pullback_rejects_invalid_host_decomposition():
+    g = path_graph(3)
+    td_h = TreeDecomposition(Graph(2, [(1, 2)]), {1: {1, 2}, 2: {3}})
+    with pytest.raises(InvalidDecompositionError, match="host decomposition invalid"):
+        pullback_decomposition(g, g, identity_map(g, g), td_h, 1)
 
 
 def test_pullback_rejects_weak_constant():

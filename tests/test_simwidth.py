@@ -216,6 +216,19 @@ def test_direction_classes_partition_and_matching_bound():
                 assert best <= k
 
 
+def test_sides_of_every_edge_partition_the_vertices():
+    rng = random.Random(73)
+    for _ in range(20):
+        g = random_connected_graph(rng.randint(1, 14), 0.3, rng)
+        bd = random_branch_decomposition(g, rng)
+        for a, b in bd.tree.edges:
+            left, right = bd.side((a, b)), bd.side((b, a))
+            assert not left & right
+            assert left | right == frozenset(g.vertices)
+            if bd.tree.degree(a) == 1:
+                assert left == {v for v in g.vertices if bd.leaf_of(v) == a}
+
+
 def test_leaf_bags_dominated_by_their_vertex():
     rng = random.Random(73)
     for _ in range(10):
