@@ -230,18 +230,10 @@ def centred_check_decomposition(g, td, k, d, cap=DEFAULT_CAP, mode="exact"):
             per_bag[t] = centred_check(g, bag, k, d, cap=cap, mode=mode)
         except TooLargeError as exc:
             raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
-    return CentredDecompositionResult(_all_centred(per_bag.values()), per_bag, k, d)
-
-
-def _all_centred(results):
-    """Tri-state conjunction of verdicts: any False, else any None (unknown),
-    else True."""
-    verdicts = [r.centred for r in results]
-    if any(v is False for v in verdicts):
-        return False
-    if any(v is None for v in verdicts):
-        return None
-    return True
+    # tri-state conjunction: any False, else any None (unknown), else True
+    verdicts = {r.centred for r in per_bag.values()}
+    all_centred = False if False in verdicts else None if None in verdicts else True
+    return CentredDecompositionResult(all_centred, per_bag, k, d)
 
 
 @dataclass(frozen=True)
@@ -249,7 +241,6 @@ class BagStat:
     size: int
     independence_number: int
     domination_number: int
-    centred: CentredResult | None = None
 
 
 @dataclass(frozen=True)
@@ -257,15 +248,13 @@ class BagMetrics:
     per_bag: dict[int, BagStat]
     independence_number: int
     domination_number: int
-    queried: tuple[int, int] | None = None
-    all_centred: bool | None = None
 
 
-def bag_metrics(g, td, k=None, d=None, cap=DEFAULT_CAP, mode="exact"):
+def bag_metrics(g, td, cap=DEFAULT_CAP):
     """Exact independence and domination numbers of every bag.
 
-    When (k, d) is supplied each bag also gets a centred verdict. The
-    decomposition-level numbers are the maxima over bags.
+    The decomposition-level numbers are the maxima over bags; centred
+    verdicts come from centred_check_decomposition.
     """
     per_bag = {}
     for t in sorted(td.nodes):
@@ -279,13 +268,7 @@ def bag_metrics(g, td, k=None, d=None, cap=DEFAULT_CAP, mode="exact"):
             gamma = exact_domination_number(sub, cap)
         except TooLargeError as exc:
             raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
-        centred = None
-        if k is not None and d is not None:
-            centred = centred_check(g, bag, k, d, cap=cap, mode=mode)
-        per_bag[t] = BagStat(len(bag), alpha, gamma, centred)
+        per_bag[t] = BagStat(len(bag), alpha, gamma)
     alpha_max = max(stat.independence_number for stat in per_bag.values())
     gamma_max = max(stat.domination_number for stat in per_bag.values())
-    if k is None or d is None:
-        return BagMetrics(per_bag, alpha_max, gamma_max)
-    all_centred = _all_centred(s.centred for s in per_bag.values() if s.centred)
-    return BagMetrics(per_bag, alpha_max, gamma_max, (k, d), all_centred)
+    return BagMetrics(per_bag, alpha_max, gamma_max)

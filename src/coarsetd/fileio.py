@@ -39,10 +39,26 @@ def _int(token, lineno, what):
         raise ParseError(lineno, f"{what} is not an integer: {token!r}") from None
 
 
+def _pair(tokens, lineno, hi, edges, tree=False):
+    """Add the edge "<i> <j>" on ids 1..hi to `edges`, an insertion-ordered
+    dict, rejecting self-loops and repeats; tree edges join decomposition
+    nodes, the others join vertices."""
+    what = "node" if tree else "vertex"
+    i = _int(tokens[0], lineno, f"{what} id")
+    j = _int(tokens[1], lineno, f"{what} id")
+    if not (1 <= i <= hi and 1 <= j <= hi):
+        raise ParseError(lineno, f"{what} id outside 1..{hi}")
+    if i == j:
+        raise ParseError(lineno, f"self-loop at {'node ' if tree else ''}{i}")
+    key = (i, j) if i < j else (j, i)
+    if key in edges:
+        raise ParseError(lineno, f"duplicate {'tree ' if tree else ''}edge {key}")
+    edges[key] = None
+
+
 def parse_graph(text):
     n = m = None
-    edges = []
-    seen = set()
+    edges = {}
     for lineno, parts in _data_lines(text):
         if parts[0] == "p":
             if n is not None:
@@ -58,17 +74,7 @@ def parse_graph(text):
                 raise ParseError(lineno, "edge line before the header")
             if len(parts) != 2:
                 raise ParseError(lineno, "expected an edge line '<u> <v>'")
-            u = _int(parts[0], lineno, "vertex id")
-            v = _int(parts[1], lineno, "vertex id")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(lineno, f"vertex id outside 1..{n}")
-            if u == v:
-                raise ParseError(lineno, f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ParseError(lineno, f"duplicate edge {key}")
-            seen.add(key)
-            edges.append(key)
+            _pair(parts, lineno, n, edges)
     if n is None:
         raise ParseError(None, "missing header 'p tw <n> <m>'")
     if len(edges) != m:
@@ -86,8 +92,7 @@ def parse_td(text, shape="tree"):
     """Parse a decomposition; returns (TreeDecomposition, declared host n)."""
     header = None
     bags = {}
-    tree_edges = []
-    seen_edges = set()
+    tree_edges = {}
     for lineno, parts in _data_lines(text):
         if parts[0] == "s":
             if header is not None:
@@ -130,17 +135,7 @@ def parse_td(text, shape="tree"):
                 raise ParseError(lineno, "tree edge before the header")
             if len(parts) != 2:
                 raise ParseError(lineno, "expected a tree edge '<i> <j>'")
-            i = _int(parts[0], lineno, "node id")
-            j = _int(parts[1], lineno, "node id")
-            if not (1 <= i <= header[0] and 1 <= j <= header[0]):
-                raise ParseError(lineno, f"node id outside 1..{header[0]}")
-            if i == j:
-                raise ParseError(lineno, f"self-loop at node {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen_edges:
-                raise ParseError(lineno, f"duplicate tree edge {key}")
-            seen_edges.add(key)
-            tree_edges.append(key)
+            _pair(parts, lineno, header[0], tree_edges, tree=True)
     if header is None:
         raise ParseError(None, "missing header 's td <bags> <max_bag_size> <n>'")
     nbags, max_size, host_n = header
@@ -171,8 +166,7 @@ def emit_td(td, host_n):
 
 def parse_bd(text):
     header = None
-    tree_edges = []
-    seen_edges = set()
+    tree_edges = {}
     leaf_map = {}
     used_nodes = set()
     for lineno, parts in _data_lines(text):
@@ -192,17 +186,7 @@ def parse_bd(text):
                 raise ParseError(lineno, "tree edge before the header")
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'e <i> <j>'")
-            i = _int(parts[1], lineno, "node id")
-            j = _int(parts[2], lineno, "node id")
-            if not (1 <= i <= header[0] and 1 <= j <= header[0]):
-                raise ParseError(lineno, f"node id outside 1..{header[0]}")
-            if i == j:
-                raise ParseError(lineno, f"self-loop at node {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen_edges:
-                raise ParseError(lineno, f"duplicate tree edge {key}")
-            seen_edges.add(key)
-            tree_edges.append(key)
+            _pair(parts[1:], lineno, header[0], tree_edges, tree=True)
         elif parts[0] == "l":
             if header is None:
                 raise ParseError(lineno, "leaf line before the header")

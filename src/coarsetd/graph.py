@@ -64,9 +64,6 @@ class Graph:
     def has_edge(self, u, v):
         return v in self.adjacency[u]
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
     def degree(self, v):
         return len(self.adjacency[v])
 

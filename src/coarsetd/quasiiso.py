@@ -48,9 +48,6 @@ class QuasiIsometryMap:
             if not 1 <= x <= self.target.n:
                 raise InvalidMapError(f"vertex {v} maps to {x}, outside the target")
 
-    def apply(self, v):
-        return self.mapping[v]
-
     def image(self):
         return frozenset(self.mapping.values())
 

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import coarsetd
 from coarsetd.cli import main
 from coarsetd.fileio import emit_bd, emit_graph, emit_td
 from coarsetd.generators import generate_corpus
@@ -49,6 +54,20 @@ def test_metrics(tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["measured"]["width"] == 2
+
+
+@pytest.mark.parametrize("kd,code,centred", [
+    (["--k", "2", "--d", "2"], 0, True),
+    (["--k", "1", "--d", "1"], 1, False),
+    (["--k", "1"], 0, None),
+])
+def test_metrics_centred_verdict(tmp_path, kd, code, centred):
+    gr, td = write_c6(tmp_path)
+    result = run(["metrics", "--graph", str(gr), "--td", str(td), *kd])
+    assert result.exit_code == code, result.output
+    checks = json.loads(result.output)["checks"]
+    assert checks.get("centred") is centred
+    assert checks["domination_le_independence"] is True
 
 
 def test_centred_check_set(tmp_path):
@@ -276,6 +295,9 @@ def test_shape_flag_enforced(tmp_path):
     ["qi-constant", "--graph", "{g}", "--host", "{g}", "--map", "{map}",
      "--qmax", "0"],
     ["simval", "--graph", "{g}", "--set", "7"],
+    ["validate-td", "--graph", "{dir}", "--td", "{td}"],
+    ["pipeline", "--graph", "{g}", "--td", "{td}", "--k", "2", "--d", "1",
+     "-o", "{g}"],
 ])
 def test_rejected_arguments_exit_cleanly(tmp_path, args):
     gr, td = write_c6(tmp_path)
@@ -283,11 +305,28 @@ def test_rejected_arguments_exit_cleanly(tmp_path, args):
     p3.write_text(emit_graph(path_graph(3)))
     mp = tmp_path / "id.map"
     mp.write_text("".join(f"{v} {v}\n" for v in range(1, 7)))
-    paths = {"g": gr, "td": td, "p3": p3, "map": mp, "out": tmp_path / "out"}
+    paths = {"g": gr, "td": td, "p3": p3, "map": mp, "out": tmp_path / "out",
+             "dir": tmp_path}
     result = run([arg.format(**paths) for arg in args])
     assert result.exit_code == 1
     assert "Error:" in result.output
     assert "Traceback" not in result.output
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    gr, td = write_c6(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = pathlib.Path(coarsetd.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "coarsetd.cli", "validate-td",
+         "--graph", str(gr), "--td", str(td)],
+        stdout=write_end, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("command", [
