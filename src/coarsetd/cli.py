@@ -17,11 +17,13 @@ from .decomposition import (
     bag_metrics,
     centred_check,
     centred_check_decomposition,
+    each_bag,
     require_valid,
     validate_decomposition,
 )
 from .errors import CoarseTDError
-from .exact import DEFAULT_CAP, TREEWIDTH_CAP, exact_treewidth
+from .exact import DEFAULT_CAP, TREEWIDTH_CAP, exact_domination_number, exact_treewidth
+from .graph import induced_subgraph
 from .pipeline import (
     Partition,
     augment,
@@ -32,7 +34,14 @@ from .pipeline import (
 )
 from .quasiiso import QuasiIsometryMap, compose, measure, qi_constant
 from .report import Report, digest
-from .simwidth import SIMVAL_CAP, branch_width_sim, sim_to_td, simval, simwidth_pipeline
+from .simwidth import (
+    SIMVAL_CAP,
+    branch_width_sim,
+    sim_to_td,
+    simval,
+    simwidth_pipeline,
+    six_k,
+)
 from .generators import FAMILIES, generate_corpus
 
 
@@ -75,9 +84,12 @@ def main(ctx, seed, cap, shape):
 
 
 def _load(report, path, parse, **kw):
-    """Read an input file, record its digest in the report, and parse it."""
+    """Read an input file, record its digest in the report under its name
+    (its path as given if that name holds another digest), and parse it."""
     text = pathlib.Path(path).read_text()
-    report.inputs[pathlib.Path(path).name] = digest(text)
+    sha = digest(text)
+    if report.inputs.setdefault(pathlib.Path(path).name, sha) != sha:
+        report.inputs[str(path)] = sha
     return parse(text, **kw)
 
 
@@ -93,6 +105,14 @@ def _load_td(report, path, shape, host):
 def _load_map(report, path, g, h):
     mapping = _load(report, path, fileio.parse_map, n_source=g.n, n_target=h.n)
     return QuasiIsometryMap(g, h, mapping)
+
+
+def _bag_domination(g, td, cap):
+    """The largest exact domination number of a bag of td."""
+    per_bag = each_bag(
+        td, lambda bag: exact_domination_number(induced_subgraph(g, bag)[0], cap)
+    )
+    return max(per_bag.values(), default=0)
 
 
 def _stage_files(h, td, phi):
@@ -260,10 +280,10 @@ def bipartite_partition_cmd(ctx, graph_path, td_path, budget, out_path):
     g = _load(report, graph_path, fileio.parse_graph)
     td = _load_td(report, td_path, ctx.obj.shape, g)
     require_valid(g, td)
-    metrics = bag_metrics(g, td, cap=ctx.obj.cap())
+    gamma = _bag_domination(g, td, ctx.obj.cap())
     result = bipartite_partition(g, budget=budget)
     report.measured["max_diameter"] = result.max_diameter
-    report.measured["domination_number"] = metrics.domination_number
+    report.measured["domination_number"] = gamma
     report.measured["parts"] = len(result.partition)
     report.measured["method"] = result.method
     report.checks["quotient_bipartite"] = True
@@ -437,16 +457,14 @@ def sim_to_td_cmd(ctx, graph_path, bd_path, out_path):
     bd = _load(report, bd_path, fileio.parse_bd)
     k = branch_width_sim(g, bd, cap=ctx.obj.cap(SIMVAL_CAP))
     td = sim_to_td(g, bd)
-    metrics = bag_metrics(g, td, cap=ctx.obj.cap())
+    gamma = _bag_domination(g, td, ctx.obj.cap())
     valid = validate_decomposition(g, td)
     report.measured["branch_width"] = k
     report.measured["width"] = td.width
-    report.measured["domination_number"] = metrics.domination_number
-    report.add_bound("domination_number", "6k", 6 * k)
+    report.measured["domination_number"] = gamma
+    report.add_bound("domination_number", "6k", six_k(k))
     report.checks["valid"] = valid.ok
-    report.checks["domination_le_6k"] = (
-        metrics.domination_number <= max(6 * k, 1)
-    )
+    report.checks["domination_le_6k"] = gamma <= six_k(k)
     pathlib.Path(out_path).write_text(fileio.emit_td(td, g.n))
     _finish(ctx, report)
 
@@ -467,8 +485,8 @@ def sim_pipeline_cmd(ctx, graph_path, bd_path, budget, outdir):
     )
     report.top_level.update(result.to_dict())
     report.measured.update(result.to_dict())
-    report.add_bound("width_out", "12k-1", 12 * result.branch_width - 1)
-    report.add_bound("bag_domination", "6k", 6 * result.branch_width)
+    report.add_bound("width_out", "12k-1", 2 * result.centred_k - 1)
+    report.add_bound("bag_domination", "6k", six_k(result.branch_width))
     report.add_bound("centred_k", "6k", result.centred_k)
     report.checks.update(result.checks)
     p = result.pipeline

@@ -26,6 +26,7 @@ from .exact import (
 from .graph import (
     Graph,
     bfs,
+    check_vertices,
     complement_graph,
     induced_subgraph,
     is_tree,
@@ -110,6 +111,22 @@ def validate_decomposition(g, td):
     return ValidationReport(True)
 
 
+def each_bag(td, solve):
+    """{t: solve(bag)} for the non-empty bags of td in node order.
+
+    A TooLargeError from the solver is re-raised naming the bag.
+    """
+    out = {}
+    for t in td.nodes:
+        bag = td.bags[t]
+        if bag:
+            try:
+                out[t] = solve(bag)
+            except TooLargeError as exc:
+                raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
+    return out
+
+
 def require_valid(g, td, what="decomposition"):
     """Raise InvalidDecompositionError naming the first violation, if any."""
     report = validate_decomposition(g, td)
@@ -178,9 +195,7 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     vs = sorted(members)
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside range 1..{g.n}")
+    check_vertices(g, vs)
     if mode == "exact":
         _check_cap(len(vs), cap, "vertex set")
 
@@ -220,16 +235,9 @@ class CentredDecompositionResult:
 
 def centred_check_decomposition(g, td, k, d, cap=DEFAULT_CAP, mode="exact"):
     """Run centred_check on every bag; empty bags pass trivially."""
-    per_bag = {}
-    for t in sorted(td.nodes):
-        bag = td.bag(t)
-        if not bag:
-            per_bag[t] = CentredResult(True, (), mode, k, d)
-            continue
-        try:
-            per_bag[t] = centred_check(g, bag, k, d, cap=cap, mode=mode)
-        except TooLargeError as exc:
-            raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
+    solved = each_bag(td, lambda bag: centred_check(g, bag, k, d, cap, mode))
+    empty = CentredResult(True, (), mode, k, d)
+    per_bag = {t: solved.get(t, empty) for t in td.nodes}
     # tri-state conjunction: any False, else any None (unknown), else True
     verdicts = {r.centred for r in per_bag.values()}
     all_centred = False if False in verdicts else None if None in verdicts else True
@@ -256,19 +264,14 @@ def bag_metrics(g, td, cap=DEFAULT_CAP):
     The decomposition-level numbers are the maxima over bags; centred
     verdicts come from centred_check_decomposition.
     """
-    per_bag = {}
-    for t in sorted(td.nodes):
-        bag = td.bag(t)
-        if not bag:
-            per_bag[t] = BagStat(0, 0, 0)
-            continue
+
+    def stat(bag):
         sub, _ = induced_subgraph(g, bag)
-        try:
-            alpha = exact_independence_number(sub, cap)
-            gamma = exact_domination_number(sub, cap)
-        except TooLargeError as exc:
-            raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
-        per_bag[t] = BagStat(len(bag), alpha, gamma)
-    alpha_max = max(stat.independence_number for stat in per_bag.values())
-    gamma_max = max(stat.domination_number for stat in per_bag.values())
+        alpha = exact_independence_number(sub, cap)
+        return BagStat(len(bag), alpha, exact_domination_number(sub, cap))
+
+    solved = each_bag(td, stat)
+    per_bag = {t: solved.get(t, BagStat(0, 0, 0)) for t in td.nodes}
+    alpha_max = max(b.independence_number for b in per_bag.values())
+    gamma_max = max(b.domination_number for b in per_bag.values())
     return BagMetrics(per_bag, alpha_max, gamma_max)

@@ -247,8 +247,6 @@ def exact_treewidth(g, cap=TREEWIDTH_CAP):
         raise EmptySetError("treewidth of the empty graph is undefined")
     _check_cap(g.n, cap, "graph")
     n = g.n
-    if n == 1:
-        return 0, decomposition_from_order(g, [1])
     adj = _adjacency_masks(g)
     size = 1 << n
     dp = [0] * size

@@ -15,15 +15,27 @@ from .graph import Graph
 from .quasiiso import QuasiIsometryMap
 from .simwidth import BranchDecomposition
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "random-tree",
-    "k-tree",
-    "subdivided-k-tree",
-    "grid-slice",
-    "random-branch-decomposition",
-)
+# family -> builder(take, rng); take(name) pops a required parameter and
+# take(name, default) an optional one
+_BUILDERS = {
+    "path": lambda take, rng: gen_path(int(take("n"))),
+    "cycle": lambda take, rng: gen_cycle(int(take("n"))),
+    "random-tree": lambda take, rng: gen_random_tree(int(take("n")), rng),
+    "k-tree": lambda take, rng: gen_ktree(
+        int(take("k")), int(take("n")), rng, take("layout", "random")
+    ),
+    "subdivided-k-tree": lambda take, rng: gen_subdivided_ktree(
+        int(take("k")), int(take("n")), int(take("s")), rng, take("layout", "random")
+    ),
+    "grid-slice": lambda take, rng: gen_grid_slice(
+        int(take("rows")), int(take("cols"))
+    ),
+    "random-branch-decomposition": lambda take, rng: gen_random_branch_instance(
+        int(take("n")), float(take("p", 0.2)), rng
+    ),
+}
+FAMILIES = tuple(_BUILDERS)
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -68,23 +80,17 @@ def gen_cycle(n):
 def gen_random_tree(n, rng):
     """Uniform random labelled tree via a Pruefer sequence."""
     _require(n >= 1, "random-tree needs n >= 1")
-    if n == 1:
-        g = Graph(1)
-        td = TreeDecomposition(Graph(1), {1: frozenset([1])})
-        return CorpusInstance(g, decomposition=td)
-    if n == 2:
-        edges = [(1, 2)]
-    else:
-        seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
-        degree = {v: 1 for v in range(1, n + 1)}
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        for v in seq:
-            leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
-            edges.append((leaf, v))
-            degree[leaf] -= 1
-            degree[v] -= 1
+    seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
+    degree = {v: 1 for v in range(1, n + 1)}
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    if n > 1:
         last = [u for u in range(1, n + 1) if degree[u] == 1]
         edges.append((last[0], last[1]))
     g = Graph(n, edges)
@@ -151,28 +157,17 @@ def coarsen_decomposition(td, rounds, rng):
         if tree.n <= 1:
             break
         a, b = rng.choice(sorted(tree.edges))
-        keep = {t: t for t in tree.vertices}
-        keep[b] = a
-        relabel = {}
-        nxt = 1
-        for t in sorted(tree.vertices):
-            if t == b:
-                continue
-            relabel[t] = nxt
-            nxt += 1
+        # b merges into a; the other nodes keep their order
+        rest = [t for t in tree.vertices if t != b]
+        relabel = {t: i for i, t in enumerate(rest, 1)}
+        relabel[b] = relabel[a]
         new_edges = set()
         for u, v in tree.edges:
-            uu, vv = relabel[keep[u]], relabel[keep[v]]
+            uu, vv = relabel[u], relabel[v]
             if uu != vv:
                 new_edges.add((min(uu, vv), max(uu, vv)))
-        new_bags = {}
-        for t in tree.vertices:
-            if t == b:
-                continue
-            merged = bags[t] | bags[b] if t == a else bags[t]
-            new_bags[relabel[t]] = merged
+        bags = {relabel[t]: bags[t] | bags[b] if t == a else bags[t] for t in rest}
         tree = Graph(tree.n - 1, new_edges)
-        bags = new_bags
     return TreeDecomposition(tree, bags, shape=td.shape)
 
 
@@ -262,12 +257,6 @@ def random_branch_decomposition(g, rng):
     _require(n >= 1, "branch decomposition needs n >= 1")
     if n == 1:
         return BranchDecomposition(Graph(1), {1: 1})
-    if n == 2:
-        order = [1, 2]
-        rng.shuffle(order)
-        return BranchDecomposition(
-            Graph(2, [(1, 2)]), {order[0]: 1, order[1]: 2}
-        )
     edges = [(1, 2)]
     leaves = [1, 2]
     nxt = 3
@@ -294,46 +283,18 @@ def generate_corpus(family, params, seed=0):
     """Dispatch to a family generator; deterministic under the seed."""
     rng = random.Random(seed)
     params = dict(params)
+    if family not in FAMILIES:
+        raise InvalidParamsError(
+            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
+        )
 
-    def take(name, default=None, required=False):
-        if required and name not in params:
+    def take(name, default=_REQUIRED):
+        if default is _REQUIRED and name not in params:
             raise InvalidParamsError(f"{family} requires parameter {name!r}")
         return params.pop(name, default)
 
     try:
-        if family == "path":
-            out = gen_path(int(take("n", required=True)))
-        elif family == "cycle":
-            out = gen_cycle(int(take("n", required=True)))
-        elif family == "random-tree":
-            out = gen_random_tree(int(take("n", required=True)), rng)
-        elif family == "k-tree":
-            out = gen_ktree(
-                int(take("k", required=True)),
-                int(take("n", required=True)),
-                rng,
-                take("layout", "random"),
-            )
-        elif family == "subdivided-k-tree":
-            out = gen_subdivided_ktree(
-                int(take("k", required=True)),
-                int(take("n", required=True)),
-                int(take("s", required=True)),
-                rng,
-                take("layout", "random"),
-            )
-        elif family == "grid-slice":
-            out = gen_grid_slice(
-                int(take("rows", required=True)), int(take("cols", required=True))
-            )
-        elif family == "random-branch-decomposition":
-            out = gen_random_branch_instance(
-                int(take("n", required=True)), float(take("p", 0.2)), rng
-            )
-        else:
-            raise InvalidParamsError(
-                f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
-            )
+        out = _BUILDERS[family](take, rng)
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError(f"bad parameters for {family}: {exc}") from exc
     if params:

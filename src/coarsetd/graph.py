@@ -166,6 +166,13 @@ def distances_from_set(g, sources):
     return dist
 
 
+def check_vertices(g, vs):
+    """Raise ValueError naming the first member of `vs` outside 1..n."""
+    for v in vs:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} outside range 1..{g.n}")
+
+
 def weak_diameter(g, s):
     """Max distance between members of `s`, measured in the whole graph.
 
@@ -174,9 +181,7 @@ def weak_diameter(g, s):
     members = sorted(s)
     if not members:
         raise EmptySetError("weak diameter of the empty set is undefined")
-    for v in members:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside range 1..{g.n}")
+    check_vertices(g, members)
     dm = g.distances()
     best = 0
     for i, u in enumerate(members):
@@ -201,9 +206,7 @@ def power_graph(g, d, restrict=None):
     if d < 1:
         raise ValueError("power graph exponent must be >= 1")
     vs = sorted(restrict) if restrict is not None else list(g.vertices)
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside range 1..{g.n}")
+    check_vertices(g, vs)
     dm = g.distances()
     edges = []
     for i, u in enumerate(vs):
@@ -216,12 +219,13 @@ def power_graph(g, d, restrict=None):
 
 
 def induced_subgraph(g, s):
-    """Induced subgraph relabelled onto 1..|s|, plus the id list mapping back."""
+    """Induced subgraph relabelled onto 1..|s|, plus the id list mapping back;
+    g itself (with its distance table) when `s` is the whole vertex set."""
     vs = sorted(s)
+    check_vertices(g, vs)
+    if len(vs) == g.n:
+        return g, vs
     index = {v: i + 1 for i, v in enumerate(vs)}
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside range 1..{g.n}")
     edges = [
         (index[u], index[v])
         for u in vs for v in g.adjacency[u]

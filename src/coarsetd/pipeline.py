@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .decomposition import (
     TreeDecomposition,
     centred_check_decomposition,
+    each_bag,
     require_valid,
 )
 from .errors import (
@@ -31,7 +32,6 @@ from .errors import (
     EmptySetError,
     InvalidPartitionError,
     PreconditionError,
-    TooLargeError,
 )
 from .exact import DEFAULT_CAP, _check_cap, exact_independence_number
 from .graph import (
@@ -225,12 +225,8 @@ def minimum_diameter_bipartite_partition(g):
     if not g.is_connected():
         raise DisconnectedError("partition search needs a connected graph")
     _check_cap(g.n, EXACT_PARTITION_LIMIT, "graph")
-    dm = g.distances()
-    diameter = max(
-        dm.dist(u, v) for u in g.vertices for v in g.vertices if u != v
-    ) if g.n > 1 else 0
-    for bound in range(diameter + 1):
-        partition = _search_partition(g, dm, bound)
+    for bound in range(weak_diameter(g, g.vertices) + 1):
+        partition = _search_partition(g, g.distances(), bound)
         if partition is not None:
             return partition, bound
     raise AssertionError("internal error: the one-part partition always works")
@@ -288,14 +284,10 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
     Requires bag independence at most k; the pushed decomposition then has
     bags of at most 2k quotient vertices, i.e. width at most 2k-1.
     """
-    alpha = 0
-    for t in sorted(td.nodes):
-        if td.bag(t):
-            sub, _ = induced_subgraph(g, td.bag(t))
-            try:
-                alpha = max(alpha, exact_independence_number(sub, cap))
-            except TooLargeError as exc:
-                raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
+    per_bag = each_bag(
+        td, lambda bag: exact_independence_number(induced_subgraph(g, bag)[0], cap)
+    )
+    alpha = max(per_bag.values(), default=0)
     if alpha > k:
         raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
     bp = bipartite_partition(g, budget=budget)
@@ -469,22 +461,14 @@ def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CA
     if g.n == 0:
         raise EmptySetError("cannot run the pipeline on the empty graph")
     require_valid(g, td)
-    comps = g.connected_components()
     runs = []
-    if len(comps) == 1:
+    for comp in g.connected_components():
+        sub, vs = induced_subgraph(g, comp)
+        local = {v: i + 1 for i, v in enumerate(vs)}
+        sub_td = _restrict_decomposition(td, comp, local)
         runs.append(
-            _pipeline_component(
-                g, td, list(g.vertices), k, d, check_centred, budget, cap
-            )
+            _pipeline_component(sub, sub_td, vs, k, d, check_centred, budget, cap)
         )
-    else:
-        for comp in comps:
-            sub, vs = induced_subgraph(g, comp)
-            local = {v: i + 1 for i, v in enumerate(vs)}
-            sub_td = _restrict_decomposition(td, comp, local)
-            runs.append(
-                _pipeline_component(sub, sub_td, vs, k, d, check_centred, budget, cap)
-            )
     vertex_offsets = []
     total = 0
     final_edges = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, each_bag
 from .errors import (
     EmptySetError,
     MalformedDecompositionError,
@@ -18,10 +18,17 @@ from .exact import (
     exact_independence_number,
     minimum_dominating_set,
 )
-from .graph import Graph, bfs, induced_subgraph, is_tree, weak_diameter
+from .graph import Graph, bfs, check_vertices, induced_subgraph, is_tree, weak_diameter
 from .pipeline import PipelineReport, run_pipeline
 
 SIMVAL_CAP = 32
+
+
+def six_k(branch_width):
+    """The 6k bound on bag domination, which is also the centred piece
+    count; clamped to 1, since a non-empty bag needs one piece even at
+    branch width 0 (an edgeless graph)."""
+    return max(6 * branch_width, 1)
 
 
 class BranchDecomposition:
@@ -89,9 +96,7 @@ def simval(g, a, cap=SIMVAL_CAP):
     that conflict graph, found exactly.
     """
     inside = frozenset(a)
-    for v in inside:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside range 1..{g.n}")
+    check_vertices(g, inside)
     cut = sorted(
         (u, v) if u in inside else (v, u)
         for u, v in g.edges
@@ -232,7 +237,7 @@ class SimwidthReport:
     def checks(self):
         checks = {
             "bag_domination_le_6k": self.bag_domination_max
-            <= max(6 * self.branch_width, 1),
+            <= six_k(self.branch_width),
             "width_le_12k_minus_1": self.width_out
             <= 2 * self.centred_k - 1,
         }
@@ -262,23 +267,15 @@ def simwidth_pipeline(g, bd, cap=DEFAULT_CAP, simval_cap=SIMVAL_CAP, budget=None
     Converts to a tree decomposition, certifies each bag as (6k,3)-centred
     through a dominating partition (pieces of weak diameter at most 2), and
     hands the certified decomposition to the pipeline with parameters
-    (6k, 3); the final width is then at most 12k-1. A branch width of 0
-    (edgeless graph) is clamped to centred parameter 1, since any non-empty
-    bag needs at least one piece.
+    (6k, 3); the final width is then at most 12k-1, with 6k clamped as in
+    six_k at branch width 0.
     """
     k = branch_width_sim(g, bd, simval_cap)
     td = sim_to_td(g, bd)
-    centred_k = max(6 * k, 1)
-    certificates = {}
-    gamma_max = 0
-    for t in sorted(td.nodes):
-        bag = td.bag(t)
-        if not bag:
-            continue
-        try:
-            parts = dominating_partition(g, bag, cap)
-        except TooLargeError as exc:
-            raise TooLargeError(exc.size, exc.cap, f"bag {t}") from exc
+    centred_k = six_k(k)
+
+    def certify(bag):
+        parts = dominating_partition(g, bag, cap)
         for part in parts:
             diam = weak_diameter(g, part)
             if not isinstance(diam, int) or diam > 2:
@@ -286,9 +283,10 @@ def simwidth_pipeline(g, bd, cap=DEFAULT_CAP, simval_cap=SIMVAL_CAP, budget=None
                     f"internal error: certificate part {sorted(part)} has "
                     f"weak diameter {diam}"
                 )
-        certificates[t] = parts
-        if len(parts) > gamma_max:
-            gamma_max = len(parts)
+        return parts
+
+    certificates = each_bag(td, certify)
+    gamma_max = max(map(len, certificates.values()), default=0)
     report = run_pipeline(
         g, td, centred_k, 3, check_centred=False, budget=budget, cap=cap
     )

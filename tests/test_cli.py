@@ -11,6 +11,7 @@ import coarsetd
 from coarsetd.cli import main
 from coarsetd.fileio import emit_bd, emit_graph, emit_td
 from coarsetd.generators import generate_corpus
+from coarsetd.report import digest
 from helpers import cycle_graph, path_graph
 
 
@@ -345,3 +346,54 @@ def test_invalid_decomposition_rejected(tmp_path, command):
     ])
     assert result.exit_code != 0
     assert "decomposition invalid" in result.output
+
+
+def test_inputs_with_one_name_keep_both_digests(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    graph, host = tmp_path / "a" / "g.gr", tmp_path / "b" / "g.gr"
+    graph.write_text(emit_graph(path_graph(4)))
+    host.write_text(emit_graph(cycle_graph(4)))
+    (tmp_path / "id.map").write_text("1 1\n2 2\n3 3\n4 4\n")
+    result = run(["qi-constant", "--graph", str(graph), "--host", str(host),
+                  "--map", str(tmp_path / "id.map")])
+    assert result.exit_code == 0, result.output
+    inputs = json.loads(result.output)["inputs"]
+    assert inputs == {
+        "g.gr": digest(graph.read_text()),
+        str(host): digest(host.read_text()),
+        "id.map": digest((tmp_path / "id.map").read_text()),
+    }
+    # the same file given twice keeps one entry
+    result = run(["qi-constant", "--graph", str(graph), "--host", str(graph),
+                  "--map", str(tmp_path / "id.map")])
+    assert result.exit_code == 0, result.output
+    assert sorted(json.loads(result.output)["inputs"]) == ["g.gr", "id.map"]
+
+
+def test_sim_width_bounds_at_branch_width_zero(tmp_path):
+    gr, bd = tmp_path / "g.gr", tmp_path / "b.bd"
+    gr.write_text("p tw 3 0\n")
+    bd.write_text(emit_bd(coarsetd.BranchDecomposition(
+        coarsetd.Graph(4, [(1, 2), (1, 3), (1, 4)]), {1: 2, 2: 3, 3: 4}
+    )))
+    result = run(["sim-pipeline", "--graph", str(gr), "--bd", str(bd),
+                  "-o", str(tmp_path / "sp")])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["branch_width"] == 0
+    assert payload["bag_domination_max"] == 1
+    assert payload["width_out"] == 0
+    assert payload["bounds"] == {
+        "bag_domination": {"formula": "6k", "value": 1},
+        "centred_k": {"formula": "6k", "value": 1},
+        "width_out": {"formula": "12k-1", "value": 1},
+    }
+    assert all(payload["checks"].values())
+    result = run(["sim-to-td", "--graph", str(gr), "--bd", str(bd),
+                  "-o", str(tmp_path / "t.td")])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["measured"]["domination_number"] == 1
+    assert payload["bounds"] == {"domination_number": {"formula": "6k", "value": 1}}
+    assert payload["checks"] == {"domination_le_6k": True, "valid": True}

@@ -116,3 +116,10 @@ def test_gamma_le_alpha_desk_scale():
         n = rng.randint(1, 12)
         g = random_graph(rng, n, 0.3)
         assert exact_domination_number(g) <= exact_independence_number(g)
+
+
+def test_exact_treewidth_single_vertex():
+    tw, td = exact_treewidth(Graph(1))
+    assert tw == 0
+    assert td.tree == Graph(1)
+    assert td.bags == {1: frozenset({1})}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coarsetd import (
+    Graph,
     InvalidParamsError,
     bag_metrics,
     centred_check_decomposition,
@@ -12,7 +13,11 @@ from coarsetd import (
     validate_decomposition,
 )
 from coarsetd.fileio import emit_bd, emit_graph, emit_td
-from coarsetd.generators import coarsen_decomposition
+from coarsetd.generators import (
+    FAMILIES,
+    coarsen_decomposition,
+    random_branch_decomposition,
+)
 from helpers import cycle_graph
 
 
@@ -126,3 +131,45 @@ def test_coarsen_preserves_validity_and_shape():
         assert result.all_centred is True
         metrics = bag_metrics(inst.graph, td)
         assert metrics.independence_number <= 3
+
+
+def test_two_vertex_branch_decomposition_pinned():
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        bd = random_branch_decomposition(Graph(2, [(1, 2)]), rng)
+        order = [1, 2]
+        ref.shuffle(order)
+        assert bd.tree == Graph(2, [(1, 2)])
+        assert bd.leaf_map == {order[0]: 1, order[1]: 2}
+        assert rng.random() == ref.random()
+    # pinned leaf maps of seeds 0-5
+    assert [
+        random_branch_decomposition(Graph(2), random.Random(seed)).leaf_map
+        for seed in range(6)
+    ] == [{1: 1, 2: 2}, {1: 2, 2: 1}, {1: 2, 2: 1}, {1: 2, 2: 1}, {1: 2, 2: 1},
+          {1: 1, 2: 2}]
+
+
+def test_family_table_and_messages():
+    assert FAMILIES == (
+        "path", "cycle", "random-tree", "k-tree", "subdivided-k-tree",
+        "grid-slice", "random-branch-decomposition",
+    )
+    for family, params, message in (
+        ("nonsense", {}, "unknown family 'nonsense'; choose from path, cycle, "
+         "random-tree, k-tree, subdivided-k-tree, grid-slice, "
+         "random-branch-decomposition"),
+        ("k-tree", {"n": 5}, "k-tree requires parameter 'k'"),
+        ("subdivided-k-tree", {"k": 1, "n": 3},
+         "subdivided-k-tree requires parameter 's'"),
+        ("grid-slice", {"rows": "x", "cols": 2},
+         "bad parameters for grid-slice: invalid literal for int() with "
+         "base 10: 'x'"),
+        ("random-branch-decomposition", {"n": 4, "p": "z"},
+         "bad parameters for random-branch-decomposition: could not convert "
+         "string to float: 'z'"),
+        ("path", {"n": 3, "q": 1}, "unused parameters for path: ['q']"),
+    ):
+        with pytest.raises(InvalidParamsError) as err:
+            generate_corpus(family, params)
+        assert str(err.value) == message

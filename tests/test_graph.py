@@ -6,11 +6,13 @@ from coarsetd import (
     EmptySetError,
     Graph,
     UNREACHABLE,
+    centred_check,
     complement_graph,
     induced_subgraph,
     is_bipartite,
     is_tree,
     power_graph,
+    simval,
     weak_diameter,
 )
 from coarsetd.graph import bfs
@@ -108,6 +110,9 @@ def test_induced_subgraph_matches_edge_filter():
             ])
             assert vs == sorted(s)
             assert sub == expected
+        assert induced_subgraph(g, set(g.vertices))[0] is g
+    with pytest.raises(ValueError, match="vertex 0 outside range 1..2"):
+        induced_subgraph(Graph(2, [(1, 2)]), {0, 2})
 
 
 def test_components():
@@ -194,3 +199,17 @@ def test_complement():
     g = path_graph(3)
     comp = complement_graph(g)
     assert comp.edges == frozenset({(1, 3)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: weak_diameter(g, {0, 2}),
+    lambda g: power_graph(g, 1, {0, 2}),
+    lambda g: induced_subgraph(g, {0, 2}),
+    lambda g: centred_check(g, {0, 2}, 1, 1),
+    lambda g: simval(g, {0, 2}),
+], ids=["weak_diameter", "power_graph", "induced_subgraph", "centred_check",
+        "simval"])
+def test_vertex_range_error(call):
+    with pytest.raises(ValueError) as err:
+        call(Graph(2, [(1, 2)]))
+    assert str(err.value) == "vertex 0 outside range 1..2"

@@ -199,6 +199,15 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
     assert len(calls) == g.n + report.final_graph.n
 
 
+def test_connected_run_is_its_own_component():
+    g = cycle_graph(6)
+    report = run_pipeline(g, single_bag_td(g), 2, 2)
+    (run,) = report.components
+    assert run.graph is g
+    assert run.vertices == tuple(g.vertices)
+    assert report.final_map.measured_q == run.composed.measured_q
+
+
 def test_augment_p5():
     g = path_graph(5)
     h, phi, _ = augment(g, p5_bags_td(), 2)
