@@ -58,7 +58,6 @@ from .quasiiso import (
     compose,
     identity_map,
     measure,
-    middle_vertex,
     pullback_decomposition,
     qi_constant,
 )
@@ -73,7 +72,6 @@ from .pipeline import (
     ind_to_tw,
     minimum_diameter_bipartite_partition,
     push_decomposition,
-    quotient,
     quotient_map,
     run_pipeline,
 )
@@ -82,7 +80,6 @@ from .simwidth import (
     BranchDecomposition,
     SimwidthReport,
     branch_width_sim,
-    direction_classes,
     dominating_partition,
     sim_to_td,
     simval,

@@ -29,7 +29,6 @@ from .pipeline import (
     augment,
     bipartite_partition,
     push_decomposition,
-    quotient,
     run_pipeline,
 )
 from .quasiiso import QuasiIsometryMap, compose, measure, qi_constant
@@ -240,7 +239,7 @@ def augment_cmd(ctx, graph_path, td_path, d, outdir):
     g = _load(report, graph_path, fileio.parse_graph)
     td = _load_td(report, td_path, ctx.obj.shape, g)
     require_valid(g, td)
-    h, phi, _ = augment(g, td, d)
+    h, phi = augment(g, td, d)
     report.measured["added_edges"] = h.m - g.m
     if phi.measured_q is not None:
         report.measured["identity_constant"] = phi.measured_q
@@ -259,7 +258,7 @@ def quotient_cmd(ctx, graph_path, part_path, out_path):
     report = Report("quotient")
     g = _load(report, graph_path, fileio.parse_graph)
     partition = Partition(g, _load(report, part_path, fileio.parse_partition, n=g.n))
-    q = quotient(g, partition)
+    q = partition.quotient
     report.measured["parts"] = len(partition)
     report.measured["quotient_vertices"] = q.n
     report.measured["quotient_edges"] = q.m
@@ -307,8 +306,8 @@ def push_td_cmd(ctx, graph_path, td_path, part_path, out_path):
     g = _load(report, graph_path, fileio.parse_graph)
     td = _load_td(report, td_path, ctx.obj.shape, g)
     partition = Partition(g, _load(report, part_path, fileio.parse_partition, n=g.n))
-    pushed = push_decomposition(g, td, partition)
-    q = quotient(g, partition)
+    pushed = push_decomposition(td, partition)
+    q = partition.quotient
     result = validate_decomposition(q, pushed)
     report.measured["width"] = pushed.width
     report.checks["valid"] = result.ok

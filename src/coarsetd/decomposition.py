@@ -172,9 +172,6 @@ class CentredResult:
 
     centred: bool | None
     parts: tuple[frozenset, ...] | None
-    mode: str
-    k: int
-    d: int
 
 
 def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
@@ -203,45 +200,43 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
         # pieces of weak diameter 0 are singletons
         if len(vs) <= k:
             parts = tuple(frozenset([v]) for v in vs)
-            return CentredResult(True, parts, mode, k, d)
+            return CentredResult(True, parts)
         if mode == "exact":
-            return CentredResult(False, None, mode, k, d)
-        return CentredResult(None, None, mode, k, d)
+            return CentredResult(False, None)
+        return CentredResult(None, None)
 
     comp = complement_graph(power_graph(g, d, vs))
     if mode == "exact":
         colors = k_coloring(comp, k)
         if colors is None:
-            return CentredResult(False, None, mode, k, d)
+            return CentredResult(False, None)
     else:
         count, assignment = greedy_coloring(comp)
         if count > k:
-            return CentredResult(None, None, mode, k, d)
+            return CentredResult(None, None)
         colors = [assignment[i] for i in comp.vertices]
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(vs[i])
     parts = tuple(frozenset(classes[c]) for c in sorted(classes))
-    return CentredResult(True, parts, mode, k, d)
+    return CentredResult(True, parts)
 
 
 @dataclass(frozen=True)
 class CentredDecompositionResult:
     all_centred: bool | None
     per_bag: dict[int, CentredResult]
-    k: int
-    d: int
 
 
 def centred_check_decomposition(g, td, k, d, cap=DEFAULT_CAP, mode="exact"):
     """Run centred_check on every bag; empty bags pass trivially."""
     solved = each_bag(td, lambda bag: centred_check(g, bag, k, d, cap, mode))
-    empty = CentredResult(True, (), mode, k, d)
+    empty = CentredResult(True, ())
     per_bag = {t: solved.get(t, empty) for t in td.nodes}
     # tri-state conjunction: any False, else any None (unknown), else True
     verdicts = {r.centred for r in per_bag.values()}
     all_centred = False if False in verdicts else None if None in verdicts else True
-    return CentredDecompositionResult(all_centred, per_bag, k, d)
+    return CentredDecompositionResult(all_centred, per_bag)
 
 
 @dataclass(frozen=True)

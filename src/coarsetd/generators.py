@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition
 from .errors import InvalidParamsError
-from .graph import Graph
+from .graph import Graph, _tree_paths
 from .quasiiso import QuasiIsometryMap
 from .simwidth import BranchDecomposition
 
@@ -95,19 +95,12 @@ def gen_random_tree(n, rng):
         edges.append((last[0], last[1]))
     g = Graph(n, edges)
     # bag v = {v, parent(v)} on the tree itself, rooted at 1
-    parent = {1: None}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in sorted(g.adjacency[u]):
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
+    parent, _ = _tree_paths(g)
     bags = {
         v: frozenset([v] if parent[v] is None else [v, parent[v]])
         for v in g.vertices
     }
-    td = TreeDecomposition(Graph(n, edges), bags)
+    td = TreeDecomposition(g, bags)
     return CorpusInstance(g, decomposition=td)
 
 

@@ -156,6 +156,16 @@ def bfs(adj, sources, within=None):
     return depth
 
 
+def _tree_paths(tree):
+    """Parent/depth tables rooted at node 1, for path walks."""
+    depth = bfs(tree.adjacency, [1])
+    parent = {
+        t: next((s for s in tree.adjacency[t] if depth[s] < depth[t]), None)
+        for t in depth
+    }
+    return parent, depth
+
+
 def distances_from_set(g, sources):
     """Multi-source BFS: distance from each vertex to the nearest source."""
     if not sources:

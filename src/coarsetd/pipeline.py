@@ -51,10 +51,11 @@ class Partition:
     """Partition of V(g) into connected parts, in canonical order.
 
     Parts are sorted by smallest member; part i corresponds to vertex i of
-    the quotient graph.
+    `quotient`, which contracts each part to a single vertex (parts are
+    adjacent exactly when some edge crosses between them).
     """
 
-    __slots__ = ("n", "parts", "index")
+    __slots__ = ("graph", "parts", "index", "quotient")
 
     def __init__(self, g, parts):
         cleaned = []
@@ -80,51 +81,47 @@ class Partition:
                 raise InvalidPartitionError(
                     f"part {sorted(members)} does not induce a connected subgraph"
                 )
-        self.n = g.n
+        self.graph = g
         self.parts = tuple(sorted(cleaned, key=min))
         self.index = {}
         for i, members in enumerate(self.parts, 1):
             for v in members:
                 self.index[v] = i
+        edges = set()
+        for u, v in g.edges:
+            a, b = self.index[u], self.index[v]
+            if a != b:
+                edges.add((a, b) if a < b else (b, a))
+        self.quotient = Graph(len(self.parts), edges)
 
     def __len__(self):
         return len(self.parts)
 
     def __repr__(self):
-        return f"Partition(parts={len(self.parts)}, n={self.n})"
+        return f"Partition(parts={len(self.parts)}, n={self.graph.n})"
 
 
 def _part_connected(g, members):
     return len(bfs(g.adjacency, [next(iter(members))], within=members)) == len(members)
 
 
-def quotient(g, p):
-    """Contract each part to a single vertex; parts are adjacent exactly
-    when some edge crosses between them."""
-    edges = set()
-    for u, v in g.edges:
-        a, b = p.index[u], p.index[v]
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
-    return Graph(len(p), edges)
-
-
 def quotient_map(g, p, d):
-    """The contraction map v -> its part, measured; parts must have weak
-    diameter strictly below d."""
+    """The contraction map g -> p.quotient, measured; p must partition g
+    itself, into parts of weak diameter strictly below d."""
     if d < 1:
         raise ValueError("d must be a positive integer")
+    if g != p.graph:
+        raise InvalidPartitionError("the partition is of another graph")
     for part in p.parts:
         diam = weak_diameter(g, part)
         if diam is UNREACHABLE or diam >= d:
             raise DiameterExceededError(part, diam, d)
-    target = quotient(g, p)
-    phi = QuasiIsometryMap(g, target, dict(p.index))
-    return measure(g, target, phi, d)
+    phi = QuasiIsometryMap(g, p.quotient, dict(p.index))
+    return measure(g, p.quotient, phi, d)
 
 
-def push_decomposition(g, td, p):
-    """Decomposition of quotient(g, p): a part joins every bag it meets."""
+def push_decomposition(td, p):
+    """Decomposition of p.quotient: a part joins every bag it meets."""
     bags = {}
     for t in td.nodes:
         bags[t] = frozenset(p.index[v] for v in td.bag(t))
@@ -135,8 +132,8 @@ def augment(g, td, d):
     """Add an edge between any two bag-mates at distance <= d.
 
     Precondition: td is a valid decomposition of g (not rechecked here).
-    Returns (h, identity quasi-isometry g -> h, td), the decomposition being
-    reused unchanged: new edges stay inside bags, traces are untouched. When
+    Returns (h, identity quasi-isometry g -> h); td is a decomposition of h
+    too: new edges stay inside bags, traces are untouched. When
     no edge is added, h is g itself, so the two share one distance table. On
     a connected graph the identity map is measured (its constant is at most
     max(d, 1)); on a disconnected one it is returned unmeasured.
@@ -157,7 +154,7 @@ def augment(g, td, d):
     phi = identity_map(g, h)
     if g.n > 0 and g.is_connected():
         phi = measure(g, h, phi, max(d, 1))
-    return h, phi, td
+    return h, phi
 
 
 def layered_parts(g):
@@ -207,7 +204,7 @@ def bipartite_partition(g, budget=None):
             method = "exact"
         if diam > budget:
             raise BudgetExceededError(diam, budget)
-    bip, _ = is_bipartite(quotient(g, partition))
+    bip, _ = is_bipartite(partition.quotient)
     if not bip:
         raise AssertionError("internal error: partition quotient is not bipartite")
     return BipartitePartitionResult(partition, diam, method)
@@ -246,7 +243,7 @@ def _search_partition(g, dm, bound):
                 partition = Partition(g, parts)
             except InvalidPartitionError:  # some part is disconnected
                 return None
-            return partition if is_bipartite(quotient(g, partition))[0] else None
+            return partition if is_bipartite(partition.quotient)[0] else None
         for part in parts:
             if feasible(v, part):
                 part.append(v)
@@ -274,7 +271,6 @@ class IndToTwResult:
     partition: Partition
     partition_diameter: int
     independence_number: int
-    partition_method: str
 
 
 def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
@@ -292,7 +288,7 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
         raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
     bp = bipartite_partition(g, budget=budget)
     qmap = quotient_map(g, bp.partition, bp.max_diameter + 1)
-    pushed = push_decomposition(g, td, bp.partition)
+    pushed = push_decomposition(td, bp.partition)
     return IndToTwResult(
         qmap.target,
         qmap,
@@ -300,7 +296,6 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
         bp.partition,
         bp.max_diameter,
         alpha,
-        bp.method,
     )
 
 
@@ -407,7 +402,7 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
                 f"decomposition is not ({k},{d})-centred (bags {bad}); "
                 "pass check_centred=False to waive"
             )
-    h, phi1, _ = augment(g, td, d)
+    h, phi1 = augment(g, td, d)
     stage2 = ind_to_tw(h, td, k, budget=budget, cap=cap)
     composed = compose(phi1, stage2.map)
     claimed = (d + 2) * stage2.map.measured_q

@@ -18,7 +18,15 @@ from .exact import (
     exact_independence_number,
     minimum_dominating_set,
 )
-from .graph import Graph, bfs, check_vertices, induced_subgraph, is_tree, weak_diameter
+from .graph import (
+    Graph,
+    _tree_paths,
+    bfs,
+    check_vertices,
+    induced_subgraph,
+    is_tree,
+    weak_diameter,
+)
 from .pipeline import PipelineReport, run_pipeline
 
 SIMVAL_CAP = 32
@@ -71,9 +79,6 @@ class BranchDecomposition:
     @property
     def n(self):
         return len(self.leaf_map)
-
-    def leaf_of(self, v):
-        return self.leaf_map[v]
 
     def side(self, edge):
         """Vertices mapped into the component of edge[0] after removing edge."""
@@ -135,16 +140,6 @@ def branch_width_sim(g, bd, cap=SIMVAL_CAP):
         if value > best:
             best = value
     return best
-
-
-def _tree_paths(tree):
-    """Parent/depth tables rooted at node 1, for path walks."""
-    depth = bfs(tree.adjacency, [1])
-    parent = {
-        t: next((s for s in tree.adjacency[t] if depth[s] < depth[t]), None)
-        for t in depth
-    }
-    return parent, depth
 
 
 def _path_nodes(parent, depth, a, b):
@@ -292,16 +287,3 @@ def simwidth_pipeline(g, bd, cap=DEFAULT_CAP, simval_cap=SIMVAL_CAP, budget=None
     )
     return SimwidthReport(k, td, gamma_max, certificates, centred_k, 3, report)
 
-
-def direction_classes(g, bd, td, t):
-    """For a non-leaf branch node, the split of its bag by the component of
-    the tree minus t holding each vertex's leaf."""
-    others = set(bd.tree.vertices) - {t}
-    comps = [
-        bfs(bd.tree.adjacency, [start], within=others)
-        for start in sorted(bd.tree.adjacency[t])
-    ]
-    bag = td.bag(t)
-    return [
-        frozenset(v for v in bag if bd.leaf_map[v] in comp) for comp in comps
-    ]

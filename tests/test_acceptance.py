@@ -21,7 +21,6 @@ from coarsetd import (
     minimum_diameter_bipartite_partition,
     pullback_decomposition,
     qi_constant,
-    quotient,
     run_pipeline,
     sim_to_td,
     simval,
@@ -285,7 +284,7 @@ def test_criterion_8_bipartite_partition_contract(
             for run in report.components:
                 h = run.augmented
                 partition = run.stage2.partition
-                bip, _ = is_bipartite(quotient(h, partition))
+                bip, _ = is_bipartite(partition.quotient)
                 assert bip
                 for part in partition.parts:
                     sub, _ = induced_subgraph(h, part)

@@ -108,7 +108,7 @@ def test_empty_bags_pass_and_get_no_certificate():
     g = path_graph(3)
     centred = centred_check_decomposition(g, with_empty_bag_td(), 1, 1)
     assert list(centred.per_bag) == [1, 2, 3]
-    assert centred.per_bag[3] == CentredResult(True, (), "exact", 1, 1)
+    assert centred.per_bag[3] == CentredResult(True, ())
     assert centred.all_centred is True
     metrics = bag_metrics(g, with_empty_bag_td())
     assert list(metrics.per_bag) == [1, 2, 3]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -221,6 +222,37 @@ def test_gen_subdivided_writes_map(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("g.gr", "base.gr", "base.td", "m.map"):
         assert (out / name).exists()
+
+
+# sha256 of g.gr and t.td from `gen --family random-tree`, by (n, seed)
+RANDOM_TREE_BYTES = {
+    (1, 0): ("cd142750ba68ab90891cfd615a43083a45d23e57ac5b0773f6daede2c58fc88e", "eff55b9a28d6a3e1593647fa2ebefd4dae6e5c65edece33743a00fceebae1c42"),
+    (1, 1): ("cd142750ba68ab90891cfd615a43083a45d23e57ac5b0773f6daede2c58fc88e", "eff55b9a28d6a3e1593647fa2ebefd4dae6e5c65edece33743a00fceebae1c42"),
+    (1, 2): ("cd142750ba68ab90891cfd615a43083a45d23e57ac5b0773f6daede2c58fc88e", "eff55b9a28d6a3e1593647fa2ebefd4dae6e5c65edece33743a00fceebae1c42"),
+    (2, 0): ("e5a7cf36d14b9fa9497996354152bdfa7f3f0b61a05822c0626925b8ce78d58a", "c9e4ab6e5a5b9dbabfb793d7036a221125aa45b5131ebadffcc82c1a028c047a"),
+    (2, 1): ("e5a7cf36d14b9fa9497996354152bdfa7f3f0b61a05822c0626925b8ce78d58a", "c9e4ab6e5a5b9dbabfb793d7036a221125aa45b5131ebadffcc82c1a028c047a"),
+    (2, 2): ("e5a7cf36d14b9fa9497996354152bdfa7f3f0b61a05822c0626925b8ce78d58a", "c9e4ab6e5a5b9dbabfb793d7036a221125aa45b5131ebadffcc82c1a028c047a"),
+    (3, 0): ("68cd4b5cdfcdae6591599ed3c4763157eb6b383cf09604dd9001909414ca3e9c", "8d57eb547c94db2483550a3d8db94c22a981065ef518aa8380eb573471e56db9"),
+    (3, 1): ("774141a6caa1a2520f8ef48ceeb68b224240e4653cd413627794ebaa18ed12c9", "9ffc8e513d94842836d85422346bf9390ef4483a939951d0629f6d104a132386"),
+    (3, 2): ("774141a6caa1a2520f8ef48ceeb68b224240e4653cd413627794ebaa18ed12c9", "9ffc8e513d94842836d85422346bf9390ef4483a939951d0629f6d104a132386"),
+    (17, 0): ("45ae2b4731be762ec101ce2ddb7b0aedb8d147e312db3e4b5b26c816b050cb62", "194ebbd75f28af73d347e315758c8c702c196cf1375cf4931830360317aacf14"),
+    (17, 1): ("1d2b425271b9b16e500d858aeb6852d18239e0f3d7e249b9947da31736fe197a", "749f9e6f0517f53e72a8ecd4c728fc492476850b38ed7debfff76a405f5a76aa"),
+    (17, 2): ("6da4c4f6964e7f3de835a01682901fb2f2f0b6a639080c6e51af986196d2eb69", "a229e6cd8d22b701175741054fee5b4c021b1a41fe96452a8d58fa4c84afe90b"),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(RANDOM_TREE_BYTES))
+def test_gen_random_tree_bytes_pinned(tmp_path, n, seed):
+    result = run([
+        "--seed", str(seed), "gen", "--family", "random-tree",
+        "--param", f"n={n}", "-o", str(tmp_path),
+    ])
+    assert result.exit_code == 0, result.output
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("g.gr", "t.td")
+    )
+    assert got == RANDOM_TREE_BYTES[n, seed]
 
 
 def test_parse_error_reported(tmp_path):

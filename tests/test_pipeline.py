@@ -24,7 +24,6 @@ from coarsetd import (
     minimum_diameter_bipartite_partition,
     push_decomposition,
     qi_constant,
-    quotient,
     quotient_map,
     run_pipeline,
     validate_decomposition,
@@ -90,18 +89,18 @@ def test_partition_canonical_order():
 def test_quotient_singletons():
     g = cycle_graph(5)
     p = Partition(g, [{v} for v in g.vertices])
-    assert quotient(g, p) == g
+    assert p.quotient == g
 
 
 def test_quotient_c6_pairs():
     g = cycle_graph(6)
     p = Partition(g, [{1, 2}, {3, 4}, {5, 6}])
-    assert quotient(g, p) == complete_graph(3)
+    assert p.quotient == complete_graph(3)
 
 
 def test_quotient_whole():
     g = cycle_graph(6)
-    assert quotient(g, Partition(g, [set(g.vertices)])) == Graph(1)
+    assert Partition(g, [set(g.vertices)]).quotient == Graph(1)
 
 
 def test_quotient_map_measured():
@@ -121,6 +120,17 @@ def test_quotient_map_diameter_precondition():
         quotient_map(g, whole, 3)  # weak diameter 3, need < 3
 
 
+def test_quotient_map_rejects_another_graphs_partition():
+    # same vertices, one more edge: the quotient of g2 is a triangle, the
+    # partition's own (of g1) a path
+    g1 = path_graph(6)
+    g2 = cycle_graph(6)
+    p = Partition(g1, [{1, 2}, {3, 4}, {5, 6}])
+    with pytest.raises(InvalidPartitionError):
+        quotient_map(g2, p, 2)
+    assert quotient_map(path_graph(6), p, 2).target is p.quotient
+
+
 # ----------------------------------------------------------------- push
 
 
@@ -128,19 +138,19 @@ def test_push_singletons_isomorphic():
     g = cycle_graph(5)
     _, td = exact_treewidth(g)
     p = Partition(g, [{v} for v in g.vertices])
-    pushed = push_decomposition(g, td, p)
+    pushed = push_decomposition(td, p)
     assert pushed.bags == td.bags
-    assert validate_decomposition(quotient(g, p), pushed).ok
+    assert validate_decomposition(p.quotient, pushed).ok
 
 
 def test_push_p5_augmented():
     g = path_graph(5)
     td = p5_bags_td()
-    h, _, _ = augment(g, td, 2)
+    h, _ = augment(g, td, 2)
     p = Partition(h, [{1, 2, 3}, {4, 5}])
-    pushed = push_decomposition(h, td, p)
+    pushed = push_decomposition(td, p)
     assert all(len(pushed.bag(t)) <= 2 for t in pushed.nodes)
-    q = quotient(h, p)
+    q = p.quotient
     assert validate_decomposition(q, pushed).ok
     for t in pushed.nodes:
         sub, _ = induced_subgraph(q, pushed.bag(t))
@@ -151,7 +161,7 @@ def test_push_whole_part():
     g = cycle_graph(6)
     td = single_bag_td(g)
     p = Partition(g, [set(g.vertices)])
-    pushed = push_decomposition(g, td, p)
+    pushed = push_decomposition(td, p)
     assert pushed.bag(1) == frozenset({1})
 
 
@@ -161,8 +171,8 @@ def test_push_validity_and_independence_random():
         g = random_graph(rng, rng.randint(1, 8), 0.4)
         _, td = exact_treewidth(g)
         p = connected_partition(rng, g)
-        pushed = push_decomposition(g, td, p)
-        q = quotient(g, p)
+        pushed = push_decomposition(td, p)
+        q = p.quotient
         assert validate_decomposition(q, pushed).ok
         before = bag_metrics(g, td).independence_number
         after = bag_metrics(q, pushed).independence_number
@@ -174,7 +184,7 @@ def test_push_validity_and_independence_random():
 
 def test_augment_d1_keeps_graph():
     g = path_graph(5)
-    h, phi, td = augment(g, p5_bags_td(), 1)
+    h, phi = augment(g, p5_bags_td(), 1)
     assert h is g
     assert phi.measured_q == 1
 
@@ -210,7 +220,7 @@ def test_connected_run_is_its_own_component():
 
 def test_augment_p5():
     g = path_graph(5)
-    h, phi, _ = augment(g, p5_bags_td(), 2)
+    h, phi = augment(g, p5_bags_td(), 2)
     assert h.edges - g.edges == {(1, 3), (3, 5)}
     assert phi.measured_q == 2
     metrics = bag_metrics(h, p5_bags_td())
@@ -219,7 +229,7 @@ def test_augment_p5():
 
 def test_augment_c6_single_bag():
     g = cycle_graph(6)
-    h, phi, _ = augment(g, single_bag_td(g), 3)
+    h, phi = augment(g, single_bag_td(g), 3)
     assert h == complete_graph(6)
     assert phi.measured_q <= 3
     assert bag_metrics(h, single_bag_td(g)).independence_number == 1
@@ -233,7 +243,7 @@ def test_augment_distance_sandwich():
         g = random_connected_graph(rng.randint(2, 12), 0.3, rng)
         d = rng.randint(1, 3)
         _, td = exact_treewidth(g)
-        h, _, _ = augment(g, td, d)
+        h, _ = augment(g, td, d)
         assert h.edges >= g.edges and h.n == g.n
         dg, dh = g.distances(), h.distances()
         for u in g.vertices:
@@ -257,7 +267,7 @@ def test_bipartite_partition_c6_layering():
     assert result.partition.parts == tuple(
         frozenset({v}) for v in range(1, 7)
     )
-    bip, _ = is_bipartite(quotient(g, result.partition))
+    bip, _ = is_bipartite(result.partition.quotient)
     assert bip
 
 
@@ -265,7 +275,7 @@ def test_bipartite_partition_c5():
     g = cycle_graph(5)
     result = bipartite_partition(g)
     assert result.max_diameter == 1
-    bip, _ = is_bipartite(quotient(g, result.partition))
+    bip, _ = is_bipartite(result.partition.quotient)
     assert bip
     part, diam = minimum_diameter_bipartite_partition(g)
     assert diam == 1
@@ -307,7 +317,7 @@ def test_exact_partition_matches_layering_quality_or_better():
 
 def test_ind_to_tw_clique_bags():
     g = path_graph(5)
-    h, _, _ = augment(g, p5_bags_td(), 2)
+    h, _ = augment(g, p5_bags_td(), 2)
     result = ind_to_tw(h, p5_bags_td(), 1)
     assert result.decomposition.width <= 1
     assert validate_decomposition(result.graph, result.decomposition).ok
@@ -479,3 +489,16 @@ def test_pipeline_validates_exactly_once(monkeypatch, connected):
     report = run_pipeline(g, td, 2, 2)
     assert len(report.components) == (1 if connected else 2)
     assert calls == [g]
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_one_quotient_per_component(connected):
+    if connected:
+        g = cycle_graph(6)
+        td = single_bag_td(g)
+    else:
+        g, td = disconnected_instance()
+    report = run_pipeline(g, td, 2, 2)
+    assert len(report.components) == (1 if connected else 2)
+    for run in report.components:
+        assert run.stage2.partition.quotient is run.stage2.graph

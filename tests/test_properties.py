@@ -13,7 +13,6 @@ from coarsetd import (
     exact_treewidth,
     power_graph,
     push_decomposition,
-    quotient,
     validate_decomposition,
 )
 from oracles import brute_treewidth
@@ -101,8 +100,8 @@ def test_push_preserves_validity_and_independence(g, rng):
     for v in g.vertices:
         groups.setdefault(find(v), []).append(v)
     p = Partition(g, groups.values())
-    pushed = push_decomposition(g, td, p)
-    q = quotient(g, p)
+    pushed = push_decomposition(td, p)
+    q = p.quotient
     assert validate_decomposition(q, pushed).ok
     assert (
         bag_metrics(q, pushed).independence_number

@@ -17,7 +17,6 @@ from coarsetd import (
     compose,
     identity_map,
     measure,
-    middle_vertex,
     pullback_decomposition,
     qi_constant,
     validate_decomposition,
@@ -70,6 +69,21 @@ def test_disconnected_rejected():
         qi_constant(g, h, identity_map(g, h), 5)
     with pytest.raises(DisconnectedError):
         qi_constant(h, g, identity_map(h, g), 5)
+
+
+def test_graphs_must_be_the_maps_own():
+    p4, c4 = path_graph(4), cycle_graph(4)
+    phi = identity_map(p4, c4)
+    assert qi_constant(p4, c4, phi, 5) == 2
+    # an equal graph built separately is the same graph
+    assert measure(Graph(4, p4.edges), c4, phi, 5).measured_q == 2
+    with pytest.raises(InvalidMapError):
+        measure(c4, c4, phi, 5)  # would read 1, the constant of c4 -> c4
+    with pytest.raises(InvalidMapError):
+        qi_constant(p4, p4, phi, 5)
+    td = TreeDecomposition(Graph(1), {1: set(c4.vertices)})
+    with pytest.raises(InvalidMapError):
+        pullback_decomposition(c4, c4, phi, td, 2)
 
 
 def test_map_validation():
@@ -253,20 +267,6 @@ def test_pullback_bags_are_ball_unions():
                 diam = weak_diameter(g, ball)
                 assert isinstance(diam, int) and diam <= 3 * c * c
         assert frozenset().union(*pieces) == bag
-
-
-def test_edge_coverage_via_middle_vertex():
-    from coarsetd.generators import gen_subdivided_ktree
-
-    rng = random.Random(37)
-    inst = gen_subdivided_ktree(1, 6, 2, rng)
-    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
-    c = 3
-    dh = h.distances()
-    for u, v in sorted(g.edges):
-        x = middle_vertex(h, phi.mapping[u], phi.mapping[v])
-        assert dh.dist(phi.mapping[u], x) <= c
-        assert dh.dist(phi.mapping[v], x) <= c
 
 
 def test_pullback_preserves_shape():

@@ -9,7 +9,6 @@ from coarsetd import (
     MalformedDecompositionError,
     TooLargeError,
     branch_width_sim,
-    direction_classes,
     dominating_partition,
     exact_domination_number,
     induced_subgraph,
@@ -197,7 +196,9 @@ def test_direction_classes_partition_and_matching_bound():
         for t in td.nodes:
             if bd.tree.degree(t) != 3:
                 continue
-            classes = direction_classes(g, bd, td, t)
+            classes = [
+                td.bag(t) & bd.side((s, t)) for s in sorted(bd.tree.adjacency[t])
+            ]
             assert frozenset().union(*classes) == td.bag(t)
             for i, cls in enumerate(classes):
                 others = frozenset().union(
@@ -226,7 +227,7 @@ def test_sides_of_every_edge_partition_the_vertices():
             assert not left & right
             assert left | right == frozenset(g.vertices)
             if bd.tree.degree(a) == 1:
-                assert left == {v for v in g.vertices if bd.leaf_of(v) == a}
+                assert left == {v for v in g.vertices if bd.leaf_map[v] == a}
 
 
 def test_leaf_bags_dominated_by_their_vertex():
@@ -304,7 +305,7 @@ def test_hedgehog_breaks_6k_bag_bound():
     central = td.bag(1)
     sub, _ = induced_subgraph(g, central)
     assert exact_domination_number(sub, cap=32) == 7 > 6 * k
-    classes = direction_classes(g, bd, td, 1)
+    classes = [td.bag(1) & bd.side((s, 1)) for s in sorted(bd.tree.adjacency[1])]
     xs = frozenset(range(1, 8))
     assert xs in classes
     sub_x, _ = induced_subgraph(g, xs)
