@@ -22,7 +22,6 @@ from .graph import (
     UNREACHABLE,
     DistanceMatrix,
     Graph,
-    complement_graph,
     induced_subgraph,
     is_bipartite,
     is_tree,
@@ -36,7 +35,6 @@ from .exact import (
     exact_domination_number,
     exact_independence_number,
     exact_treewidth,
-    greedy_coloring,
     maximum_independent_set,
     minimum_dominating_set,
 )

@@ -18,16 +18,14 @@ from .errors import (
 from .exact import (
     DEFAULT_CAP,
     _check_cap,
+    _first_k_coloring,
     exact_domination_number,
     exact_independence_number,
-    greedy_coloring,
-    k_coloring,
 )
 from .graph import (
     Graph,
     bfs,
     check_vertices,
-    complement_graph,
     induced_subgraph,
     is_tree,
     power_graph,
@@ -180,7 +178,8 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
     Exact mode reduces to k-colorability of the complement of the d-th
     power graph on s (pieces of pairwise distance <= d are power-graph
     cliques); the witness is the lexicographically smallest color-class
-    partition under vertex id order.
+    partition under vertex id order. Heuristic mode colors first-fit in the
+    same order, so a True verdict carries the same witness.
     """
     members = frozenset(s)
     if not members:
@@ -205,16 +204,25 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
             return CentredResult(False, None)
         return CentredResult(None, None)
 
-    comp = complement_graph(power_graph(g, d, vs))
+    pg = power_graph(g, d, vs)
+    # members too far apart to share a piece: the earlier non-neighbours
+    earlier = [()] + [
+        [j for j in range(1, i) if j not in pg.adjacency[i]] for i in pg.vertices
+    ]
     if mode == "exact":
-        colors = k_coloring(comp, k)
+        colors = _first_k_coloring(earlier, k)
         if colors is None:
             return CentredResult(False, None)
     else:
-        count, assignment = greedy_coloring(comp)
-        if count > k:
-            return CentredResult(None, None)
-        colors = [assignment[i] for i in comp.vertices]
+        colors = []
+        for before in earlier[1:]:
+            taken = {colors[j - 1] for j in before}
+            c = 0
+            while c in taken:
+                c += 1
+            if c == k:
+                return CentredResult(None, None)
+            colors.append(c)
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(vs[i])

@@ -147,14 +147,19 @@ def k_coloring(g, k):
     Vertices are assigned in id order; colors are numbered by first use, so
     the first assignment found by the ordered search is the canonical one.
     """
-    n = g.n
+    earlier = [()] + [[w for w in g.adjacency[v] if w < v] for v in g.vertices]
+    return _first_k_coloring(earlier, k)
+
+
+def _first_k_coloring(earlier, k):
+    """The search behind k_coloring, over conflict lists: vertices are
+    1..len(earlier)-1, and earlier[v] holds the lower-numbered vertices v
+    may not share a color with (earlier[0] is unused)."""
+    n = len(earlier) - 1
     if n == 0:
         return []
     if k <= 0:
         return None
-    earlier = [None] * (n + 1)
-    for v in g.vertices:
-        earlier[v] = [w for w in sorted(g.adjacency[v]) if w < v]
     colors = [-1] * (n + 1)
     # iterative depth-first search; used[v] counts the colors taken before v
     used = [0] * (n + 2)
@@ -200,19 +205,6 @@ def exact_chromatic_number(g, cap=DEFAULT_CAP):
         if k_coloring(g, k) is not None:
             return k
     raise AssertionError("unreachable: every graph is n-colorable")
-
-
-def greedy_coloring(g):
-    """Sequential coloring in id order: an upper bound, not the optimum."""
-    assignment = {}
-    for v in g.vertices:
-        taken = {assignment[w] for w in g.adjacency[v] if w in assignment}
-        c = 0
-        while c in taken:
-            c += 1
-        assignment[v] = c
-    count = max(assignment.values()) + 1 if assignment else 0
-    return count, assignment
 
 
 def _reach_boundary_count(adj, inside, v):

@@ -244,16 +244,6 @@ def induced_subgraph(g, s):
     return Graph(len(vs), edges), vs
 
 
-def complement_graph(g):
-    edges = [
-        (u, v)
-        for u in g.vertices
-        for v in range(u + 1, g.n + 1)
-        if v not in g.adjacency[u]
-    ]
-    return Graph(g.n, edges)
-
-
 def is_tree(g):
     return g.n >= 1 and g.m == g.n - 1 and g.is_connected()
 

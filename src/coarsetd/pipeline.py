@@ -135,8 +135,9 @@ def augment(g, td, d):
     Returns (h, identity quasi-isometry g -> h); td is a decomposition of h
     too: new edges stay inside bags, traces are untouched. When
     no edge is added, h is g itself, so the two share one distance table. On
-    a connected graph the identity map is measured (its constant is at most
-    max(d, 1)); on a disconnected one it is returned unmeasured.
+    a connected graph the identity map carries its constant: 1 when h is g,
+    by definition, else measured (at most max(d, 1)); on a disconnected one
+    it is returned unmeasured.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -151,10 +152,11 @@ def augment(g, td, d):
                 if dist is not UNREACHABLE and dist <= d:
                     edges.add((u, v))
     h = g if len(edges) == g.m else Graph(g.n, edges)
-    phi = identity_map(g, h)
-    if g.n > 0 and g.is_connected():
-        phi = measure(g, h, phi, max(d, 1))
-    return h, phi
+    if g.n == 0 or not g.is_connected():
+        return h, identity_map(g, h)
+    if h is g:
+        return h, QuasiIsometryMap(g, h, {v: v for v in g.vertices}, measured_q=1)
+    return h, measure(g, h, identity_map(g, h), max(d, 1))
 
 
 def layered_parts(g):
@@ -404,7 +406,8 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
             )
     h, phi1 = augment(g, td, d)
     stage2 = ind_to_tw(h, td, k, budget=budget, cap=cap)
-    composed = compose(phi1, stage2.map)
+    # after the identity of g onto itself, stage 2's map is the composite
+    composed = stage2.map if h is g else compose(phi1, stage2.map)
     claimed = (d + 2) * stage2.map.measured_q
     return PipelineComponentRun(
         tuple(original_vertices), g, h, phi1, stage2, composed, claimed

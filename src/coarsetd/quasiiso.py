@@ -5,15 +5,16 @@ A map phi: V(G) -> V(H) is a q-quasi-isometry when for all u, v
     q^-1 * dist_G(u,v) - q  <=  dist_H(phi(u), phi(v))  <=  q * dist_G(u,v) + q
 
 and every vertex of H lies within distance q of the image. All three
-conditions relax as q grows, so the minimal constant is found by scanning
-q = 1, 2, ... Connected inputs are required: at Unreachable the defining
-inequalities have no agreed meaning, so disconnected graphs are rejected
-outright.
+conditions relax as q grows, so the minimal constant is solved for: the
+largest q that any one pair, or the coverage radius, forces. Connected
+inputs are required: at Unreachable the defining inequalities have no
+agreed meaning, so disconnected graphs are rejected outright.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition, require_valid
 from .errors import (
@@ -57,15 +58,6 @@ def identity_map(g, h):
     return QuasiIsometryMap(g, h, {v: v for v in g.vertices})
 
 
-def _check_inputs(g, h, phi):
-    if g.n == 0 or h.n == 0:
-        raise EmptySetError("quasi-isometry needs non-empty graphs")
-    if not g.is_connected() or not h.is_connected():
-        raise DisconnectedError("quasi-isometry operations need connected graphs")
-    if g != phi.source or h != phi.target:
-        raise InvalidMapError("graphs differ from the map's source and target")
-
-
 def qi_constant(g, h, phi, qmax):
     """Minimal q <= qmax making phi a q-quasi-isometry, else NotWithinError.
 
@@ -74,7 +66,12 @@ def qi_constant(g, h, phi, qmax):
     """
     if qmax < 1:
         raise ValueError("qmax must be a positive integer")
-    _check_inputs(g, h, phi)
+    if g.n == 0 or h.n == 0:
+        raise EmptySetError("quasi-isometry needs non-empty graphs")
+    if not g.is_connected() or not h.is_connected():
+        raise DisconnectedError("quasi-isometry operations need connected graphs")
+    if g != phi.source or h != phi.target:
+        raise InvalidMapError("graphs differ from the map's source and target")
     dg = g.distances()
     dh = h.distances()
     img = [0] + [phi.mapping[v] for v in g.vertices]
@@ -83,19 +80,25 @@ def qi_constant(g, h, phi, qmax):
         row_h = dh.row(img[u])
         pairs.update(zip(dg.row(u)[u + 1:], map(row_h.__getitem__, img[u + 1:])))
     coverage = distances_from_set(h, phi.image())
-    cov_max = max(coverage[x] for x in h.vertices)
-    for q in range(1, qmax + 1):
-        if cov_max > q:
-            continue
-        qq = q * q
-        if all(b <= q * a + q and a <= q * b + qq for a, b in pairs):
-            return q
-    raise NotWithinError(qmax)
+    q = max(1, max(coverage[x] for x in h.vertices))
+    for a, b in pairs:
+        if b > q * (a + 1):  # upper: b <= q * (a + 1)
+            q = -(-b // (a + 1))
+        while q * (q + b) < a:  # lower: a <= q * (q + b)
+            q += 1
+    if q > qmax:
+        raise NotWithinError(qmax)
+    return q
 
 
 def measure(g, h, phi, qmax):
-    """Copy of phi with measured_q filled in."""
-    return replace(phi, measured_q=qi_constant(g, h, phi, qmax))
+    """Copy of phi with measured_q filled in.
+
+    phi was validated when it was built, so the copy is not validated again.
+    """
+    measured = copy(phi)
+    object.__setattr__(measured, "measured_q", qi_constant(g, h, phi, qmax))
+    return measured
 
 
 def compose(phi1, phi2):
@@ -129,9 +132,8 @@ def pullback_decomposition(g, h, phi, td_h, c):
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
-    _check_inputs(g, h, phi)
+    qi_constant(g, h, phi, c)  # checks the inputs; NotWithinError if not a c-qi
     require_valid(h, td_h, "host decomposition")
-    qi_constant(g, h, phi, c)  # raises NotWithinError if phi is not a c-qi
     dh = h.distances()
     by_image = {}
     for v in g.vertices:

@@ -182,6 +182,42 @@ def test_centred_heuristic_never_false():
     assert centred_check(g, g.vertices, 3, 1, mode="heuristic").centred is True
 
 
+def test_heuristic_witness_is_the_exact_witness():
+    # first-fit in id order is the first leaf of the exact search, so a
+    # heuristic True carries the exact mode's parts
+    rng = random.Random(23)
+    agreed = unknown = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5)))
+        s = rng.sample(list(g.vertices), rng.randint(1, g.n))
+        k, d = rng.randint(1, 4), rng.randint(1, 3)
+        heur = centred_check(g, s, k, d, mode="heuristic")
+        exact = centred_check(g, s, k, d)
+        if heur.centred:
+            assert heur.parts == exact.parts
+            agreed += 1
+        else:
+            assert heur.centred is None and heur.parts is None
+            unknown += 1
+    assert agreed > 100 and unknown > 10
+
+
+def test_centred_check_builds_only_the_power_graph(monkeypatch):
+    g = cycle_graph(9)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for mode in ("exact", "heuristic"):
+        built.clear()
+        assert centred_check(g, [1, 2, 3, 5, 6, 8], 3, 2, mode=mode).centred
+        assert built == [6]
+
+
 def test_centred_check_deeper_than_recursion_limit():
     # one piece: the search assigns 1200 vertices in turn, deeper than
     # the interpreter's default recursion limit

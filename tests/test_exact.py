@@ -8,7 +8,6 @@ from coarsetd import (
     exact_domination_number,
     exact_independence_number,
     exact_treewidth,
-    greedy_coloring,
     maximum_independent_set,
     minimum_dominating_set,
     validate_decomposition,
@@ -99,15 +98,6 @@ def test_chromatic_matches_oracle_on_random_graphs():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 6), 0.5)
         assert exact_chromatic_number(g) == brute_chromatic(g)
-
-
-def test_greedy_coloring_is_upper_bound():
-    rng = random.Random(11)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 7), 0.5)
-        count, assignment = greedy_coloring(g)
-        assert count >= exact_chromatic_number(g)
-        assert all(assignment[u] != assignment[v] for u, v in g.edges)
 
 
 def test_gamma_le_alpha_desk_scale():

@@ -7,7 +7,6 @@ from coarsetd import (
     Graph,
     UNREACHABLE,
     centred_check,
-    complement_graph,
     induced_subgraph,
     is_bipartite,
     is_tree,
@@ -193,12 +192,6 @@ def test_bipartite_coloring_proper_and_witness_odd_closed():
             for i, v in enumerate(got):
                 assert g.has_edge(v, got[(i + 1) % len(got)])
     assert seen == {True, False}
-
-
-def test_complement():
-    g = path_graph(3)
-    comp = complement_graph(g)
-    assert comp.edges == frozenset({(1, 3)})
 
 
 @pytest.mark.parametrize("call", [

@@ -11,13 +11,17 @@ from coarsetd import (
     InvalidPartitionError,
     Partition,
     PreconditionError,
+    QuasiIsometryMap,
     TreeDecomposition,
     augment,
     bag_metrics,
     bipartite_partition,
     centred_check_decomposition,
+    compose,
     exact_independence_number,
     exact_treewidth,
+    generate_corpus,
+    identity_map,
     ind_to_tw,
     induced_subgraph,
     is_bipartite,
@@ -207,6 +211,57 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
     assert report.components[0].augmented is g
     # one BFS per vertex of g (shared with h) and of the quotient
     assert len(calls) == g.n + report.final_graph.n
+
+
+D1_PARAMS = {
+    "path": {"n": 7},
+    "cycle": {"n": 9},
+    "random-tree": {"n": 12},
+    "k-tree": {"k": 2, "n": 14},
+    "subdivided-k-tree": {"k": 1, "n": 6, "s": 2},
+    "grid-slice": {"rows": 3, "cols": 4},
+    "random-branch-decomposition": {"n": 9, "p": 0.3},
+}
+
+
+@pytest.mark.parametrize("family", sorted(D1_PARAMS))
+def test_d1_composite_is_stage2_map(family):
+    inst = generate_corpus(family, D1_PARAMS[family], seed=3)
+    g = inst.graph
+    td = inst.decomposition or exact_treewidth(g)[1]
+    k = bag_metrics(g, td).independence_number
+    (run,) = run_pipeline(g, td, k, 1, check_centred=False).components
+    phi1 = run.stage1
+    assert run.augmented is g
+    assert phi1.measured_q == qi_constant(g, g, identity_map(g, g), 1)
+    assert run.composed is run.stage2.map
+    assert run.composed.measured_q == compose(phi1, run.stage2.map).measured_q
+
+
+def test_connected_d1_run_measures_and_validates_each_map_once(monkeypatch):
+    import coarsetd.quasiiso
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 40, random.Random(5))
+    measured, validated = [], []
+    qi = coarsetd.quasiiso.qi_constant
+    post_init = QuasiIsometryMap.__post_init__
+
+    def counting_qi(*args):
+        measured.append(args)
+        return qi(*args)
+
+    def counting_post_init(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(coarsetd.quasiiso, "qi_constant", counting_qi)
+    monkeypatch.setattr(QuasiIsometryMap, "__post_init__", counting_post_init)
+    run_pipeline(inst.graph, inst.decomposition, 2, 1)
+    # the contraction map alone; then the identity, the contraction and
+    # the final map are each validated once
+    assert len(measured) == 1
+    assert len(validated) == 3
 
 
 def test_connected_run_is_its_own_component():

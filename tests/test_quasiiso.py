@@ -157,6 +157,32 @@ def test_matches_brute_force():
     assert len(seen) == 10
 
 
+def test_solved_constant_is_the_least_budget_that_passes():
+    from coarsetd.generators import random_connected_graph
+
+    rng = random.Random(17)
+    seen = set()
+    for i in range(90):
+        g = random_connected_graph(rng.randint(1, 14), 0.25, rng)
+        h = random_connected_graph(rng.randint(1, 9), 0.3, rng)
+        kind = ("collapsing", "onto", "random")[i % 3]
+        if kind == "collapsing":
+            mapping = dict.fromkeys(g.vertices, rng.randint(1, h.n))
+        else:
+            mapping = {v: rng.randint(1, h.n) for v in g.vertices}
+            if kind == "onto" and g.n >= h.n:
+                mapping.update(zip(rng.sample(list(g.vertices), h.n), h.vertices))
+        phi = QuasiIsometryMap(g, h, mapping)
+        q = qi_constant(g, h, phi, 10 ** 6)
+        assert qi_constant(g, h, phi, q) == q
+        if q > 1:
+            with pytest.raises(NotWithinError):
+                qi_constant(g, h, phi, q - 1)
+        seen.add((kind, phi.image() == frozenset(h.vertices), q > 1))
+    wanted = {("collapsing", False, True), ("onto", True, True), ("onto", True, False)}
+    assert wanted <= seen  # (kind, onto, q > 1)
+
+
 def test_map_is_frozen():
     from dataclasses import FrozenInstanceError
 
@@ -231,6 +257,34 @@ def test_pullback_rejects_invalid_host_decomposition():
     td_h = TreeDecomposition(Graph(2, [(1, 2)]), {1: {1, 2}, 2: {3}})
     with pytest.raises(InvalidDecompositionError, match="host decomposition invalid"):
         pullback_decomposition(g, g, identity_map(g, g), td_h, 1)
+
+
+def test_pullback_checks_inputs_once(monkeypatch):
+    from coarsetd.generators import gen_subdivided_ktree
+
+    inst = gen_subdivided_ktree(1, 6, 2, random.Random(2))
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    checked = []
+    components = Graph.connected_components
+
+    def counting(self):
+        checked.append(self)
+        return components(self)
+
+    monkeypatch.setattr(Graph, "connected_components", counting)
+    pullback_decomposition(g, h, phi, inst.base_decomposition, 3)
+    assert [x is g for x in checked].count(True) == 1
+    assert [x is h for x in checked].count(True) == 1
+
+
+def test_pullback_weak_constant_reported_before_invalid_host():
+    g = cycle_graph(6)
+    k1, phi = all_to_one(g)
+    td_h = TreeDecomposition(Graph(1), {1: set()})  # leaves vertex 1 out
+    with pytest.raises(InvalidDecompositionError):
+        pullback_decomposition(g, k1, phi, td_h, 2)
+    with pytest.raises(NotWithinError):
+        pullback_decomposition(g, k1, phi, td_h, 1)
 
 
 def test_pullback_rejects_weak_constant():
