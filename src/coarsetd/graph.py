@@ -2,8 +2,8 @@
 
 Vertices are the integers 1..n. Graphs are immutable once built, so shared
 instances are safe to read concurrently and every operation here is a pure
-function of its arguments. All-pairs distances are computed lazily and
-cached on the instance.
+function of its arguments. Connected components and all-pairs distances are
+computed lazily and cached on the instance.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ UNREACHABLE = _Unreachable()
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
-    __slots__ = ("n", "edges", "adjacency", "_distances")
+    __slots__ = ("n", "edges", "adjacency", "_components", "_distances")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -51,6 +51,7 @@ class Graph:
         self.n = n
         self.edges = frozenset(canon)
         self.adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+        self._components = None
         self._distances = None
 
     @property
@@ -77,15 +78,18 @@ class Graph:
         return self._distances
 
     def connected_components(self):
-        """Components as frozensets, ordered by smallest member."""
-        seen = set()
-        comps = []
-        for root in self.vertices:
-            if root not in seen:
-                comp = frozenset(bfs(self.adjacency, [root]))
-                seen |= comp
-                comps.append(comp)
-        return comps
+        """Components as frozensets, ordered by smallest member; computed
+        once and cached, returned as a fresh list."""
+        if self._components is None:
+            seen = set()
+            comps = []
+            for root in self.vertices:
+                if root not in seen:
+                    comp = frozenset(bfs(self.adjacency, [root]))
+                    seen |= comp
+                    comps.append(comp)
+            self._components = tuple(comps)
+        return list(self._components)
 
     def is_connected(self):
         return len(self.connected_components()) <= 1
@@ -164,16 +168,6 @@ def _tree_paths(tree):
         for t in depth
     }
     return parent, depth
-
-
-def distances_from_set(g, sources):
-    """Multi-source BFS: distance from each vertex to the nearest source."""
-    if not sources:
-        raise EmptySetError("source set must be non-empty")
-    dist = [UNREACHABLE] * (g.n + 1)
-    for v, dv in bfs(g.adjacency, sources).items():
-        dist[v] = dv
-    return dist
 
 
 def check_vertices(g, vs):

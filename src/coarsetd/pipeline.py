@@ -9,10 +9,15 @@ contraction; bags of a bipartite graph with independence <= k hold at most
 2k vertices. Both stages are quasi-isometries, measured individually, and
 composed at the end.
 
-Disconnected inputs run per component; the per-component decompositions are
-joined by single tree edges (bags unchanged), and the quasi-isometry
-constants are reported per component since cross-component distances are
-undefined.
+Every input runs per component (a connected one is its own single
+component), and the quasi-isometry constants are reported per component
+since cross-component distances are undefined. Each component's
+decomposition keeps td.tree, with the bags restricted to the component, so
+the final decomposition lays copy i of td.tree (T nodes) on nodes
+i*T+1..(i+1)*T, holding component i's pushed bags; a node of copy i whose
+original bag holds no vertex of component i has an empty bag. Consecutive
+copies are linked end to end for a path (the last node of degree <= 1 in
+copy i-1 to the first in copy i) and node 1 to node 1 for a tree.
 """
 
 from __future__ import annotations
@@ -385,14 +390,6 @@ class PipelineReport:
         }
 
 
-def _restrict_decomposition(td, vertex_set, local_id):
-    bags = {
-        t: frozenset(local_id[v] for v in td.bag(t) if v in vertex_set)
-        for t in td.nodes
-    }
-    return TreeDecomposition(td.tree, bags, shape=td.shape)
-
-
 def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, cap):
     if check_centred:
         res = centred_check_decomposition(g, td, k, d, cap=cap, mode="exact")
@@ -414,37 +411,6 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
     )
 
 
-def _join_decompositions(tds, vertex_offsets, shape):
-    node_offsets = []
-    total = 0
-    for td in tds:
-        node_offsets.append(total)
-        total += td.tree.n
-    edges = []
-    bags = {}
-    for i, td in enumerate(tds):
-        off = node_offsets[i]
-        voff = vertex_offsets[i]
-        for u, v in td.tree.edges:
-            edges.append((u + off, v + off))
-        for t in td.nodes:
-            bags[t + off] = frozenset(v + voff for v in td.bag(t))
-    for i in range(1, len(tds)):
-        prev, cur = tds[i - 1], tds[i]
-        if shape == "path":
-            prev_ends = sorted(
-                t for t in prev.nodes if prev.tree.degree(t) <= 1
-            )
-            cur_ends = sorted(t for t in cur.nodes if cur.tree.degree(t) <= 1)
-            a = prev_ends[-1] + node_offsets[i - 1]
-            b = cur_ends[0] + node_offsets[i]
-        else:
-            a = 1 + node_offsets[i - 1]
-            b = 1 + node_offsets[i]
-        edges.append((a, b))
-    return TreeDecomposition(Graph(total, edges), bags, shape=shape)
-
-
 def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CAP):
     """Run both stages and report every measured constant and check.
 
@@ -463,26 +429,38 @@ def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CA
     for comp in g.connected_components():
         sub, vs = induced_subgraph(g, comp)
         local = {v: i + 1 for i, v in enumerate(vs)}
-        sub_td = _restrict_decomposition(td, comp, local)
+        restricted = {
+            t: frozenset(local[v] for v in td.bag(t) if v in comp) for t in td.nodes
+        }
+        sub_td = TreeDecomposition(td.tree, restricted, shape=td.shape)
         runs.append(
             _pipeline_component(sub, sub_td, vs, k, d, check_centred, budget, cap)
         )
-    vertex_offsets = []
-    total = 0
-    final_edges = []
-    for run in runs:
-        vertex_offsets.append(total)
-        for u, v in run.stage2.graph.edges:
-            final_edges.append((u + total, v + total))
-        total += run.stage2.graph.n
-    final_graph = Graph(total, final_edges)
-    final_td = _join_decompositions(
-        [run.stage2.decomposition for run in runs], vertex_offsets, td.shape
-    )
-    mapping = {}
+    # copy i of td.tree carries run i, its vertices shifted past runs 0..i-1
+    tree = td.tree
+    if td.shape == "path":
+        ends = [t for t in td.nodes if tree.degree(t) <= 1]
+        last, first = ends[-1], ends[0]
+    else:
+        last = first = 1
+    tree_edges, bags, edges, mapping = [], {}, [], {}
+    offset = 0
     for i, run in enumerate(runs):
+        base = i * tree.n
+        tree_edges += [(s + base, t + base) for s, t in tree.edges]
+        if i:
+            tree_edges.append((last + base - tree.n, first + base))
+        pushed = run.stage2.decomposition
+        for t in td.nodes:
+            bags[t + base] = frozenset(x + offset for x in pushed.bag(t))
+        edges += [(x + offset, y + offset) for x, y in run.stage2.graph.edges]
         for local_v, target in run.composed.mapping.items():
-            mapping[run.vertices[local_v - 1]] = target + vertex_offsets[i]
+            mapping[run.vertices[local_v - 1]] = target + offset
+        offset += run.stage2.graph.n
+    final_graph = Graph(offset, edges)
+    final_td = TreeDecomposition(
+        Graph(len(runs) * tree.n, tree_edges), bags, shape=td.shape
+    )
     measured = runs[0].composed.measured_q if len(runs) == 1 else None
     final_map = QuasiIsometryMap(g, final_graph, mapping, measured_q=measured)
     return PipelineReport(

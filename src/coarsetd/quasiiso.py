@@ -25,7 +25,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import UNREACHABLE, distances_from_set
+from .graph import UNREACHABLE, bfs
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def qi_constant(g, h, phi, qmax):
     for u in g.vertices:
         row_h = dh.row(img[u])
         pairs.update(zip(dg.row(u)[u + 1:], map(row_h.__getitem__, img[u + 1:])))
-    coverage = distances_from_set(h, phi.image())
-    q = max(1, max(coverage[x] for x in h.vertices))
+    # h is connected, so the sweep from the image reaches every vertex
+    q = max(1, max(bfs(h.adjacency, phi.image()).values()))
     for a, b in pairs:
         if b > q * (a + 1):  # upper: b <= q * (a + 1)
             q = -(-b // (a + 1))

@@ -122,6 +122,16 @@ def test_components():
     assert cycle_graph(4).is_connected()
 
 
+def test_components_cached_and_returned_fresh():
+    g = Graph(5, [(1, 2), (4, 5)])
+    comps = g.connected_components()
+    comps.pop()
+    again = g.connected_components()
+    assert again is not comps
+    assert again == [frozenset({1, 2}), frozenset({3}), frozenset({4, 5})]
+    assert all(a is b for a, b in zip(again, g.connected_components()))
+
+
 def test_is_tree():
     assert is_tree(path_graph(4))
     assert not is_tree(cycle_graph(4))

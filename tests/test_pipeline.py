@@ -4,6 +4,7 @@ import pytest
 
 from coarsetd import (
     BudgetExceededError,
+    CoarseTDError,
     DiameterExceededError,
     DisconnectedError,
     Graph,
@@ -557,3 +558,146 @@ def test_one_quotient_per_component(connected):
     assert len(report.components) == (1 if connected else 2)
     for run in report.components:
         assert run.stage2.partition.quotient is run.stage2.graph
+
+
+# ------------------------------------------- disconnected runs, byte for byte
+
+
+def disconnected_case(seed):
+    """A seeded input of 2-4 components (plus an isolated vertex on every
+    fifth seed) with shuffled, interleaved vertex ids and shuffled node ids,
+    on one tree or one path; k is sometimes one short of the bag
+    independence number, and d=0 often fails the centred check, so some
+    cases raise."""
+    from coarsetd.generators import gen_cycle, gen_ktree, gen_path, gen_random_tree
+
+    rng = random.Random(seed)
+    shape = rng.choice(["tree", "path"])
+    makers = [
+        lambda: gen_path(1),
+        lambda: gen_path(rng.randint(2, 9)),
+        lambda: gen_cycle(rng.randint(3, 9)),
+        lambda: gen_ktree(2, rng.randint(3, 12), rng, layout="path"),
+    ]
+    if shape == "tree":
+        makers += [
+            lambda: gen_random_tree(rng.randint(2, 12), rng),
+            lambda: gen_ktree(rng.randint(1, 3), rng.randint(4, 12), rng),
+        ]
+    pieces = [rng.choice(makers)() for _ in range(rng.randint(2, 4))]
+    if seed % 5 == 0:
+        pieces.append(gen_path(1))  # an isolated vertex
+    n = sum(p.graph.n for p in pieces)
+    ids = rng.sample(range(1, n + 1), n)
+    total_nodes = sum(p.decomposition.tree.n for p in pieces)
+    node_ids = rng.sample(range(1, total_nodes + 1), total_nodes)
+    edges, bags, tree_edges = [], {}, []
+    voff = toff = 0
+    free_end = None
+    for p in pieces:
+        vid = lambda v, voff=voff: ids[voff + v - 1]
+        nid = lambda t, toff=toff: node_ids[toff + t - 1]
+        ptd = p.decomposition
+        edges += [(vid(u), vid(v)) for u, v in p.graph.edges]
+        tree_edges += [(nid(s), nid(t)) for s, t in ptd.tree.edges]
+        ends = [t for t in ptd.nodes if ptd.tree.degree(t) <= 1]
+        if free_end is not None:
+            if shape == "path":
+                tree_edges.append((free_end, nid(ends[0])))
+            else:
+                joined = rng.choice(sorted(bags))
+                tree_edges.append((joined, nid(rng.choice(list(ptd.nodes)))))
+        free_end = nid(ends[-1])
+        for t in ptd.nodes:
+            bags[nid(t)] = {vid(v) for v in ptd.bag(t)}
+        voff += p.graph.n
+        toff += ptd.tree.n
+    g = Graph(n, edges)
+    if shape == "tree" and rng.random() < 0.5:
+        # a leaf node with an empty bag
+        total_nodes += 1
+        tree_edges.append((rng.randint(1, total_nodes - 1), total_nodes))
+        bags[total_nodes] = set()
+    td = TreeDecomposition(Graph(total_nodes, tree_edges), bags, shape=shape)
+    alpha = bag_metrics(g, td).independence_number
+    k = max(1, alpha - (rng.random() < 0.2))
+    return g, td, k, rng.randint(0, 3), rng.random() < 0.5
+
+
+def pipeline_record(g, td, k, d, check_centred):
+    from coarsetd.fileio import emit_graph, emit_map, emit_td
+
+    try:
+        report = run_pipeline(g, td, k, d, check_centred=check_centred)
+    except CoarseTDError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    final_td = report.final_decomposition
+    assert validate_decomposition(report.final_graph, final_td).ok
+    return {
+        "report": report.to_dict(),
+        "checks": report.checks,
+        "graph": emit_graph(report.final_graph),
+        "td": emit_td(final_td, report.final_graph.n),
+        "shape": final_td.shape,
+        "map": emit_map(report.final_map.mapping),
+        "measured_q": report.final_map.measured_q,
+        "components": [
+            [
+                list(run.vertices),
+                run.stage1.measured_q,
+                run.stage2.map.measured_q,
+                run.composed.measured_q,
+                run.claimed_bound,
+                run.stage2.partition_diameter,
+            ]
+            for run in report.components
+        ],
+    }
+
+
+def test_disconnected_runs_are_pinned_byte_for_byte():
+    import hashlib
+    import json
+
+    records = []
+    for seed in range(60):
+        g, td, k, d, check_centred = disconnected_case(seed)
+        assert not g.is_connected()
+        record = pipeline_record(g, td, k, d, check_centred)
+        records.append([seed, td.shape, d, check_centred, record])
+    kinds = {(r[1], "error" in r[4]) for r in records}
+    assert kinds == {("tree", False), ("tree", True), ("path", False), ("path", True)}
+    assert {r[2] for r in records} == {0, 1, 2, 3}
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "9dad49640aec9a297d4ef7d78b77d9fb55b14a9af9c68f8a6aa3ce3a0373764a"
+    )
+
+
+def test_connected_run_sweeps_the_whole_graph_three_times(monkeypatch):
+    import sys
+
+    import coarsetd.graph
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 200, random.Random(5))
+    g, td = inst.graph, inst.decomposition
+    original = coarsetd.graph.bfs
+    swept = []
+
+    def counting(adj, sources, within=None):
+        if within is None:
+            swept.append(adj)
+        return original(adj, sources, within)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coarsetd" and getattr(module, "bfs", None) is original:
+            monkeypatch.setattr(module, "bfs", counting)
+    report = run_pipeline(g, td, 2, 1)
+    final_tree = report.final_decomposition.tree
+    # the split and the layering sweep g; the new final tree is swept once
+    # to check that it is a tree; td.tree's components were cached when td
+    # was built, and every stage reads g's cached components
+    assert sum(adj is g.adjacency for adj in swept) == 2
+    assert sum(adj is td.tree.adjacency for adj in swept) == 0
+    assert sum(adj is final_tree.adjacency for adj in swept) == 1
