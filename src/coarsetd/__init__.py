@@ -19,8 +19,6 @@ from .errors import (
     TooLargeError,
 )
 from .graph import (
-    UNREACHABLE,
-    DistanceMatrix,
     Graph,
     induced_subgraph,
     is_bipartite,

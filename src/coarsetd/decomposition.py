@@ -195,34 +195,23 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
     if mode == "exact":
         _check_cap(len(vs), cap, "vertex set")
 
+    # heuristic mode reports a miss as unknown, never False
+    miss = CentredResult(False if mode == "exact" else None, None)
     if d == 0:
         # pieces of weak diameter 0 are singletons
-        if len(vs) <= k:
-            parts = tuple(frozenset([v]) for v in vs)
-            return CentredResult(True, parts)
-        if mode == "exact":
-            return CentredResult(False, None)
-        return CentredResult(None, None)
+        if len(vs) > k:
+            return miss
+        return CentredResult(True, tuple(frozenset([v]) for v in vs))
 
     pg = power_graph(g, d, vs)
     # members too far apart to share a piece: the earlier non-neighbours
     earlier = [()] + [
         [j for j in range(1, i) if j not in pg.adjacency[i]] for i in pg.vertices
     ]
-    if mode == "exact":
-        colors = _first_k_coloring(earlier, k)
-        if colors is None:
-            return CentredResult(False, None)
-    else:
-        colors = []
-        for before in earlier[1:]:
-            taken = {colors[j - 1] for j in before}
-            c = 0
-            while c in taken:
-                c += 1
-            if c == k:
-                return CentredResult(None, None)
-            colors.append(c)
+    # heuristic mode stops at the first backtrack, which is first-fit
+    colors = _first_k_coloring(earlier, k, backtrack=mode == "exact")
+    if colors is None:
+        return miss
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(vs[i])

@@ -151,10 +151,11 @@ def k_coloring(g, k):
     return _first_k_coloring(earlier, k)
 
 
-def _first_k_coloring(earlier, k):
+def _first_k_coloring(earlier, k, backtrack=True):
     """The search behind k_coloring, over conflict lists: vertices are
     1..len(earlier)-1, and earlier[v] holds the lower-numbered vertices v
-    may not share a color with (earlier[0] is unused)."""
+    may not share a color with (earlier[0] is unused). Without `backtrack`
+    it is first-fit coloring: None at the first vertex with no free color."""
     n = len(earlier) - 1
     if n == 0:
         return []
@@ -176,6 +177,8 @@ def _first_k_coloring(earlier, k):
             colors[v] = c
             used[v + 1] = max(used[v], c + 1)
             v += 1
+        elif not backtrack:
+            return None
         else:
             colors[v] = -1
             v -= 1

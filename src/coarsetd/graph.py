@@ -13,22 +13,6 @@ from collections import deque
 from .errors import EmptySetError
 
 
-class _Unreachable:
-    """Marker for vertex pairs with no connecting path.
-
-    A distinguished value rather than a sentinel integer: comparing or doing
-    arithmetic with it raises, so disconnected inputs fail loudly.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Unreachable"
-
-
-UNREACHABLE = _Unreachable()
-
-
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
@@ -69,17 +53,22 @@ class Graph:
         return len(self.adjacency[v])
 
     def distances(self):
-        """All-pairs hop distances, computed once and cached."""
+        """All-pairs hop distances as rows, dm[u][v]; computed once and cached.
+
+        Row 0 and index 0 of each row are unused; None marks "no path", and
+        comparing or doing arithmetic with it raises.
+        """
         if self._distances is None:
             rows = [None] * (self.n + 1)
             for v in self.vertices:
                 rows[v] = single_source_distances(self, v)
-            self._distances = DistanceMatrix(self.n, rows)
+            self._distances = rows
         return self._distances
 
     def connected_components(self):
         """Components as frozensets, ordered by smallest member; computed
-        once and cached, returned as a fresh list."""
+        once and cached, returned as a fresh list. A connected graph caches
+        only its count, 1, rather than a copy of its vertex set."""
         if self._components is None:
             seen = set()
             comps = []
@@ -88,11 +77,15 @@ class Graph:
                     comp = frozenset(bfs(self.adjacency, [root]))
                     seen |= comp
                     comps.append(comp)
-            self._components = tuple(comps)
+            self._components = 1 if len(comps) == 1 else tuple(comps)
+        if self._components == 1:
+            return [frozenset(self.vertices)]
         return list(self._components)
 
     def is_connected(self):
-        return len(self.connected_components()) <= 1
+        if self._components is None:
+            self.connected_components()
+        return self._components in (1, ())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -106,37 +99,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class DistanceMatrix:
-    """Symmetric table of hop distances with explicit Unreachable entries."""
-
-    __slots__ = ("n", "_rows")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self._rows = rows
-
-    def dist(self, u, v):
-        if not (1 <= u <= self.n and 1 <= v <= self.n):
-            raise ValueError(f"vertex pair ({u},{v}) outside range 1..{self.n}")
-        return self._rows[u][v]
-
-    def row(self, u):
-        return self._rows[u]
-
-    def __repr__(self):
-        return f"DistanceMatrix(n={self.n})"
-
-
 def single_source_distances(g, source):
-    """BFS distances from one vertex; index 0 is unused."""
-    dist = [UNREACHABLE] * (g.n + 1)
+    """BFS distances from one vertex, None where there is no path; index 0
+    is unused."""
+    dist = [None] * (g.n + 1)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
         for w in g.adjacency[u]:
-            if dist[w] is UNREACHABLE:
+            if dist[w] is None:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
@@ -180,7 +153,7 @@ def check_vertices(g, vs):
 def weak_diameter(g, s):
     """Max distance between members of `s`, measured in the whole graph.
 
-    Returns UNREACHABLE when `s` straddles two components.
+    Returns None when `s` straddles two components.
     """
     members = sorted(s)
     if not members:
@@ -189,11 +162,11 @@ def weak_diameter(g, s):
     dm = g.distances()
     best = 0
     for i, u in enumerate(members):
-        row = dm.row(u)
+        row = dm[u]
         for v in members[i + 1:]:
             d = row[v]
-            if d is UNREACHABLE:
-                return UNREACHABLE
+            if d is None:
+                return None
             if d > best:
                 best = d
     return best
@@ -214,10 +187,10 @@ def power_graph(g, d, restrict=None):
     dm = g.distances()
     edges = []
     for i, u in enumerate(vs):
-        row = dm.row(u)
+        row = dm[u]
         for j in range(i + 1, len(vs)):
             dist = row[vs[j]]
-            if dist is not UNREACHABLE and dist <= d:
+            if dist is not None and dist <= d:
                 edges.append((i + 1, j + 1))
     return Graph(len(vs), edges)
 

@@ -41,7 +41,6 @@ from .errors import (
 from .exact import DEFAULT_CAP, _check_cap, exact_independence_number
 from .graph import (
     Graph,
-    UNREACHABLE,
     bfs,
     induced_subgraph,
     is_bipartite,
@@ -110,16 +109,16 @@ def _part_connected(g, members):
     return len(bfs(g.adjacency, [next(iter(members))], within=members)) == len(members)
 
 
-def quotient_map(g, p, d):
-    """The contraction map g -> p.quotient, measured; p must partition g
-    itself, into parts of weak diameter strictly below d."""
+def quotient_map(p, d):
+    """The contraction map p.graph -> p.quotient, measured; the parts must
+    have weak diameter strictly below d."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if g != p.graph:
-        raise InvalidPartitionError("the partition is of another graph")
+    g = p.graph
     for part in p.parts:
+        # parts are connected, so the weak diameter is a number
         diam = weak_diameter(g, part)
-        if diam is UNREACHABLE or diam >= d:
+        if diam >= d:
             raise DiameterExceededError(part, diam, d)
     phi = QuasiIsometryMap(g, p.quotient, dict(p.index))
     return measure(g, p.quotient, phi, d)
@@ -151,10 +150,10 @@ def augment(g, td, d):
     for t in td.nodes:
         bag = sorted(td.bag(t))
         for i, u in enumerate(bag):
-            row = dm.row(u)
+            row = dm[u]
             for v in bag[i + 1:]:
                 dist = row[v]
-                if dist is not UNREACHABLE and dist <= d:
+                if dist is not None and dist <= d:
                     edges.add((u, v))
     h = g if len(edges) == g.m else Graph(g.n, edges)
     if g.n == 0 or not g.is_connected():
@@ -241,8 +240,8 @@ def _search_partition(g, dm, bound):
     parts = []
 
     def feasible(v, members):
-        row = dm.row(v)
-        return all(row[u] is not UNREACHABLE and row[u] <= bound for u in members)
+        row = dm[v]
+        return all(row[u] <= bound for u in members)
 
     def extend(v):
         if v > n:
@@ -270,14 +269,12 @@ def _search_partition(g, dm, bound):
 
 @dataclass(frozen=True)
 class IndToTwResult:
-    """Output of the contraction stage."""
+    """Output of the contraction stage; the quotient graph is map.target."""
 
-    graph: Graph
     map: QuasiIsometryMap
     decomposition: TreeDecomposition
     partition: Partition
     partition_diameter: int
-    independence_number: int
 
 
 def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
@@ -294,16 +291,9 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
     if alpha > k:
         raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
     bp = bipartite_partition(g, budget=budget)
-    qmap = quotient_map(g, bp.partition, bp.max_diameter + 1)
+    qmap = quotient_map(bp.partition, bp.max_diameter + 1)
     pushed = push_decomposition(td, bp.partition)
-    return IndToTwResult(
-        qmap.target,
-        qmap,
-        pushed,
-        bp.partition,
-        bp.max_diameter,
-        alpha,
-    )
+    return IndToTwResult(qmap, pushed, bp.partition, bp.max_diameter)
 
 
 @dataclass(frozen=True)
@@ -312,29 +302,24 @@ class PipelineComponentRun:
 
     Vertex ids inside are component-local (1..len(vertices)); `vertices`
     lists the original ids, position i holding the original of local i+1.
+    The component is stage1.source and its augmentation stage1.target.
     """
 
     vertices: tuple[int, ...]
-    graph: Graph
-    augmented: Graph
     stage1: QuasiIsometryMap
     stage2: IndToTwResult
     composed: QuasiIsometryMap
     claimed_bound: int
 
-    @property
-    def width_out(self):
-        return self.stage2.decomposition.width
-
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """End-to-end record of a pipeline run."""
+    """End-to-end record of a pipeline run; the input graph is
+    final_map.source."""
 
     k: int
     d: int
     shape: str
-    graph: Graph
     components: tuple[PipelineComponentRun, ...]
     final_graph: Graph
     final_decomposition: TreeDecomposition
@@ -407,7 +392,7 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
     composed = stage2.map if h is g else compose(phi1, stage2.map)
     claimed = (d + 2) * stage2.map.measured_q
     return PipelineComponentRun(
-        tuple(original_vertices), g, h, phi1, stage2, composed, claimed
+        tuple(original_vertices), phi1, stage2, composed, claimed
     )
 
 
@@ -453,16 +438,15 @@ def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CA
         pushed = run.stage2.decomposition
         for t in td.nodes:
             bags[t + base] = frozenset(x + offset for x in pushed.bag(t))
-        edges += [(x + offset, y + offset) for x, y in run.stage2.graph.edges]
+        quotient = run.stage2.map.target
+        edges += [(x + offset, y + offset) for x, y in quotient.edges]
         for local_v, target in run.composed.mapping.items():
             mapping[run.vertices[local_v - 1]] = target + offset
-        offset += run.stage2.graph.n
+        offset += quotient.n
     final_graph = Graph(offset, edges)
     final_td = TreeDecomposition(
         Graph(len(runs) * tree.n, tree_edges), bags, shape=td.shape
     )
     measured = runs[0].composed.measured_q if len(runs) == 1 else None
     final_map = QuasiIsometryMap(g, final_graph, mapping, measured_q=measured)
-    return PipelineReport(
-        k, d, td.shape, g, tuple(runs), final_graph, final_td, final_map
-    )
+    return PipelineReport(k, d, td.shape, tuple(runs), final_graph, final_td, final_map)

@@ -7,8 +7,8 @@ A map phi: V(G) -> V(H) is a q-quasi-isometry when for all u, v
 and every vertex of H lies within distance q of the image. All three
 conditions relax as q grows, so the minimal constant is solved for: the
 largest q that any one pair, or the coverage radius, forces. Connected
-inputs are required: at Unreachable the defining inequalities have no
-agreed meaning, so disconnected graphs are rejected outright.
+inputs are required: where no path exists the defining inequalities have
+no agreed meaning, so disconnected graphs are rejected outright.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import UNREACHABLE, bfs
+from .graph import bfs
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def qi_constant(g, h, phi, qmax):
     img = [0] + [phi.mapping[v] for v in g.vertices]
     pairs = set()
     for u in g.vertices:
-        row_h = dh.row(img[u])
-        pairs.update(zip(dg.row(u)[u + 1:], map(row_h.__getitem__, img[u + 1:])))
+        row_h = dh[img[u]]
+        pairs.update(zip(dg[u][u + 1:], map(row_h.__getitem__, img[u + 1:])))
     # h is connected, so the sweep from the image reaches every vertex
     q = max(1, max(bfs(h.adjacency, phi.image()).values()))
     for a, b in pairs:
@@ -143,13 +143,8 @@ def pullback_decomposition(g, h, phi, td_h, c):
     def ball(x):
         got = balls.get(x)
         if got is None:
-            row = dh.row(x)
-            got = frozenset(
-                v
-                for y, vs in by_image.items()
-                if row[y] is not UNREACHABLE and row[y] <= c
-                for v in vs
-            )
+            row = dh[x]
+            got = frozenset(v for y, vs in by_image.items() if row[y] <= c for v in vs)
             balls[x] = got
         return got
 

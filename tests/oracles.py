@@ -6,7 +6,7 @@ exhaustive enumeration, and stays independent of the code paths it checks.
 
 from itertools import combinations, permutations, product
 
-from coarsetd import UNREACHABLE, weak_diameter
+from coarsetd import weak_diameter
 
 
 def brute_alpha(g):
@@ -69,8 +69,8 @@ def qi_constant_brute(g, h, mapping, qmax):
         ok = True
         for u in g.vertices:
             for v in g.vertices:
-                a = dg.dist(u, v)
-                b = dh.dist(mapping[u], mapping[v])
+                a = dg[u][v]
+                b = dh[mapping[u]][mapping[v]]
                 if not ((1 / q) * a - q <= b <= q * a + q):
                     ok = False
                     break
@@ -78,7 +78,7 @@ def qi_constant_brute(g, h, mapping, qmax):
                 break
         if ok:
             for x in h.vertices:
-                if min(dh.dist(x, mapping[v]) for v in g.vertices) > q:
+                if min(dh[x][mapping[v]] for v in g.vertices) > q:
                     ok = False
                     break
         if ok:
@@ -104,7 +104,7 @@ def centred_brute(g, s, k, d):
         if len(parts) > k:
             continue
         diams = [weak_diameter(g, part) for part in parts]
-        if all(x is not UNREACHABLE and x <= d for x in diams):
+        if all(x is not None and x <= d for x in diams):
             return True
     return False
 

@@ -282,7 +282,7 @@ def test_criterion_8_bipartite_partition_contract(
         for entry in runs:
             report = entry[4]
             for run in report.components:
-                h = run.augmented
+                h = run.stage1.target
                 partition = run.stage2.partition
                 bip, _ = is_bipartite(partition.quotient)
                 assert bip

@@ -111,29 +111,19 @@ def test_quotient_whole():
 def test_quotient_map_measured():
     g = cycle_graph(6)
     singles = Partition(g, [{v} for v in g.vertices])
-    assert quotient_map(g, singles, 1).measured_q == 1
+    assert quotient_map(singles, 1).measured_q == 1
     pairs = Partition(g, [{1, 2}, {3, 4}, {5, 6}])
-    assert quotient_map(g, pairs, 2).measured_q == 2
+    assert quotient_map(pairs, 2).measured_q == 2
+    assert quotient_map(pairs, 2).target is pairs.quotient
     whole = Partition(g, [set(g.vertices)])
-    assert quotient_map(g, whole, 4).measured_q <= 4
+    assert quotient_map(whole, 4).measured_q <= 4
 
 
 def test_quotient_map_diameter_precondition():
     g = cycle_graph(6)
     whole = Partition(g, [set(g.vertices)])
     with pytest.raises(DiameterExceededError):
-        quotient_map(g, whole, 3)  # weak diameter 3, need < 3
-
-
-def test_quotient_map_rejects_another_graphs_partition():
-    # same vertices, one more edge: the quotient of g2 is a triangle, the
-    # partition's own (of g1) a path
-    g1 = path_graph(6)
-    g2 = cycle_graph(6)
-    p = Partition(g1, [{1, 2}, {3, 4}, {5, 6}])
-    with pytest.raises(InvalidPartitionError):
-        quotient_map(g2, p, 2)
-    assert quotient_map(path_graph(6), p, 2).target is p.quotient
+        quotient_map(whole, 3)  # weak diameter 3, need < 3
 
 
 # ----------------------------------------------------------------- push
@@ -209,7 +199,7 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
 
     monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_bfs)
     report = run_pipeline(g, td, 2, 1)
-    assert report.components[0].augmented is g
+    assert report.components[0].stage1.target is g
     # one BFS per vertex of g (shared with h) and of the quotient
     assert len(calls) == g.n + report.final_graph.n
 
@@ -233,7 +223,7 @@ def test_d1_composite_is_stage2_map(family):
     k = bag_metrics(g, td).independence_number
     (run,) = run_pipeline(g, td, k, 1, check_centred=False).components
     phi1 = run.stage1
-    assert run.augmented is g
+    assert run.stage1.target is g
     assert phi1.measured_q == qi_constant(g, g, identity_map(g, g), 1)
     assert run.composed is run.stage2.map
     assert run.composed.measured_q == compose(phi1, run.stage2.map).measured_q
@@ -269,7 +259,7 @@ def test_connected_run_is_its_own_component():
     g = cycle_graph(6)
     report = run_pipeline(g, single_bag_td(g), 2, 2)
     (run,) = report.components
-    assert run.graph is g
+    assert run.stage1.source is g
     assert run.vertices == tuple(g.vertices)
     assert report.final_map.measured_q == run.composed.measured_q
 
@@ -304,7 +294,7 @@ def test_augment_distance_sandwich():
         dg, dh = g.distances(), h.distances()
         for u in g.vertices:
             for v in g.vertices:
-                assert dh.dist(u, v) <= dg.dist(u, v) <= d * dh.dist(u, v)
+                assert dh[u][v] <= dg[u][v] <= d * dh[u][v]
 
 
 # ------------------------------------------------------- bipartite partition
@@ -376,7 +366,7 @@ def test_ind_to_tw_clique_bags():
     h, _ = augment(g, p5_bags_td(), 2)
     result = ind_to_tw(h, p5_bags_td(), 1)
     assert result.decomposition.width <= 1
-    assert validate_decomposition(result.graph, result.decomposition).ok
+    assert validate_decomposition(result.map.target, result.decomposition).ok
 
 
 def test_ind_to_tw_k6_single_bag():
@@ -557,7 +547,7 @@ def test_one_quotient_per_component(connected):
     report = run_pipeline(g, td, 2, 2)
     assert len(report.components) == (1 if connected else 2)
     for run in report.components:
-        assert run.stage2.partition.quotient is run.stage2.graph
+        assert run.stage2.partition.quotient is run.stage2.map.target
 
 
 # ------------------------------------------- disconnected runs, byte for byte

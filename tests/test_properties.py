@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from coarsetd import (
     Graph,
     Partition,
-    UNREACHABLE,
     bag_metrics,
     exact_domination_number,
     exact_independence_number,
@@ -31,15 +30,15 @@ def graphs(draw, max_n=8, min_n=1):
 def test_distance_matrix_is_a_metric(g):
     dm = g.distances()
     for u in g.vertices:
-        assert dm.dist(u, u) == 0
+        assert dm[u][u] == 0
         for v in g.vertices:
-            assert dm.dist(u, v) is dm.dist(v, u) or dm.dist(u, v) == dm.dist(v, u)
+            assert dm[u][v] is dm[v][u] or dm[u][v] == dm[v][u]
     for u in g.vertices:
         for v in g.vertices:
             for w in g.vertices:
-                duv, duw, dwv = dm.dist(u, v), dm.dist(u, w), dm.dist(w, v)
-                if duw is not UNREACHABLE and dwv is not UNREACHABLE:
-                    assert duv is not UNREACHABLE
+                duv, duw, dwv = dm[u][v], dm[u][w], dm[w][v]
+                if duw is not None and dwv is not None:
+                    assert duv is not None
                     assert duv <= duw + dwv
 
 
@@ -55,9 +54,36 @@ def test_unreachable_iff_cross_component(g):
     for u in g.vertices:
         for v in g.vertices:
             if comp_of[u] is comp_of[v]:
-                assert dm.dist(u, v) is not UNREACHABLE
+                assert dm[u][v] is not None
             else:
-                assert dm.dist(u, v) is UNREACHABLE
+                assert dm[u][v] is None
+
+
+@given(graphs(max_n=10, min_n=0))
+@settings(max_examples=80, deadline=None)
+def test_components_match_union_find(g):
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    groups = {}
+    for v in g.vertices:
+        groups.setdefault(find(v), set()).add(v)
+    expected = sorted((frozenset(s) for s in groups.values()), key=min)
+    # a fresh graph asked is_connected first fills its cache that way
+    fresh = Graph(g.n, g.edges)
+    assert fresh.is_connected() == (len(expected) <= 1)
+    assert fresh.connected_components() == expected
+    comps = g.connected_components()
+    assert comps == expected
+    assert g.is_connected() == (len(comps) <= 1)
+    again = g.connected_components()
+    assert again == comps and again is not comps
 
 
 @given(graphs())

@@ -12,7 +12,6 @@ from coarsetd import (
     PreconditionError,
     QuasiIsometryMap,
     TreeDecomposition,
-    UNREACHABLE,
     centred_check_decomposition,
     compose,
     identity_map,
@@ -99,12 +98,12 @@ def _satisfies_at(g, h, mapping, q):
     dg, dh = g.distances(), h.distances()
     for u in g.vertices:
         for v in g.vertices:
-            a = dg.dist(u, v)
-            b = dh.dist(mapping[u], mapping[v])
+            a = dg[u][v]
+            b = dh[mapping[u]][mapping[v]]
             if not ((1 / q) * a - q <= b <= q * a + q):
                 return False
     return all(
-        min(dh.dist(x, mapping[v]) for v in g.vertices) <= q
+        min(dh[x][mapping[v]] for v in g.vertices) <= q
         for x in h.vertices
     )
 
@@ -313,8 +312,8 @@ def test_pullback_bags_are_ball_unions():
         for x in sorted(host_bag):
             ball = frozenset(
                 v for v in g.vertices
-                if dh.dist(phi.mapping[v], x) is not UNREACHABLE
-                and dh.dist(phi.mapping[v], x) <= c
+                if dh[phi.mapping[v]][x] is not None
+                and dh[phi.mapping[v]][x] <= c
             )
             pieces.append(ball)
             if ball:
