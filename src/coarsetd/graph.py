@@ -2,13 +2,28 @@
 
 Vertices are the integers 1..n. Graphs are immutable once built, so shared
 instances are safe to read concurrently and every operation here is a pure
-function of its arguments. Connected components and all-pairs distances are
-computed lazily and cached on the instance.
+function of its arguments. Connected components and distances are computed
+lazily and cached on the instance.
+
+Distances come from one of two kernels, chosen once per graph. A short
+graph answers from level masks (`Graph.balls`): bitsets of the vertices
+within distance r of each vertex, built one radius at a time by OR-ing
+neighbours' masks. Every other graph reads all-pairs BFS rows
+(`Graph.distances`). The component sweep measures e, the largest depth
+reached from a component's smallest vertex; the diameter D then lies
+between e and 2e, and the masks take at most D + 1 levels. A graph is
+short when 8e <= n, so that the few passes over the masks beat n BFS runs
+(on a path-like graph D nears n and they lose), and when
+(2e + 1)(n + 280) <= 56n + 448, which keeps its masks (n ints of up to
+n + 1 bits per level) no larger than the rows they replace (n lists of
+n + 1 slots); that caps e below 28.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import or_
 
 from .errors import EmptySetError
 
@@ -16,7 +31,9 @@ from .errors import EmptySetError
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
-    __slots__ = ("n", "edges", "adjacency", "_components", "_distances")
+    __slots__ = (
+        "n", "edges", "adjacency", "_components", "_distances", "_short", "_masks"
+    )
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -37,6 +54,8 @@ class Graph:
         self.adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
         self._components = None
         self._distances = None
+        self._short = None
+        self._masks = None
 
     @property
     def vertices(self):
@@ -65,19 +84,50 @@ class Graph:
             self._distances = rows
         return self._distances
 
+    def balls(self, r):
+        """Level masks for radius r: entry v (entry 0 unused) has bit w set
+        for every vertex w within distance r of v. Built one level per pass
+        and cached; once a level repeats, it stands for every larger r."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = [[0] + [1 << v for v in self.vertices]]
+        # a settled list ends in the same level object twice
+        while len(masks) <= r and (len(masks) < 2 or masks[-1] is not masks[-2]):
+            level = spread(self.adjacency, masks[-1])
+            masks.append(masks[-1] if level == masks[-1] else level)
+        return masks[min(r, len(masks) - 1)]
+
+    def short(self):
+        """True when distance questions read level masks rather than rows
+        (see the module docstring); decided by the component sweep."""
+        if self._short is None:
+            self._sweep()
+        return self._short
+
+    def _sweep(self):
+        """BFS from the smallest vertex of each component, in order: caches
+        the components and the kernel choice, and returns {vertex: depth}."""
+        depth = {}
+        comps = []
+        for root in self.vertices:
+            if root not in depth:
+                reached = bfs(self.adjacency, [root])
+                depth.update(reached)
+                comps.append(frozenset(reached))
+        self._components = 1 if len(comps) == 1 else tuple(comps)
+        e = max(depth.values(), default=0)
+        n = self.n
+        # at most 2e + 1 levels of n masks, each at most 40 + n/7 bytes with
+        # its list slot, against n rows of 8n + 64 bytes
+        self._short = 8 * e <= n and (2 * e + 1) * (n + 280) <= 56 * n + 448
+        return depth
+
     def connected_components(self):
         """Components as frozensets, ordered by smallest member; computed
         once and cached, returned as a fresh list. A connected graph caches
         only its count, 1, rather than a copy of its vertex set."""
         if self._components is None:
-            seen = set()
-            comps = []
-            for root in self.vertices:
-                if root not in seen:
-                    comp = frozenset(bfs(self.adjacency, [root]))
-                    seen |= comp
-                    comps.append(comp)
-            self._components = 1 if len(comps) == 1 else tuple(comps)
+            self._sweep()
         if self._components == 1:
             return [frozenset(self.vertices)]
         return list(self._components)
@@ -113,6 +163,14 @@ def single_source_distances(g, source):
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+def spread(adj, level):
+    """The next level of masks: each vertex ORs in its neighbours' masks."""
+    return [0] + [
+        reduce(or_, map(level.__getitem__, adj[v]), level[v])
+        for v in range(1, len(level))
+    ]
 
 
 def bfs(adj, sources, within=None):
@@ -159,6 +217,16 @@ def weak_diameter(g, s):
     if not members:
         raise EmptySetError("weak diameter of the empty set is undefined")
     check_vertices(g, members)
+    if g.short():
+        target = reduce(or_, (1 << v for v in members))
+        r, ball = 0, g.balls(0)
+        for u in members:
+            while ball[u] & target != target:
+                wider = g.balls(r + 1)
+                if wider is ball:  # settled short of the whole set
+                    return None
+                r, ball = r + 1, wider
+        return r
     dm = g.distances()
     best = 0
     for i, u in enumerate(members):
@@ -184,8 +252,14 @@ def power_graph(g, d, restrict=None):
         raise ValueError("power graph exponent must be >= 1")
     vs = sorted(restrict) if restrict is not None else list(g.vertices)
     check_vertices(g, vs)
-    dm = g.distances()
     edges = []
+    if g.short():
+        ball, bits = g.balls(d), [1 << v for v in vs]
+        for i, u in enumerate(vs):
+            mask = ball[u]
+            edges += [(i + 1, j + 1) for j in range(i + 1, len(vs)) if mask & bits[j]]
+        return Graph(len(vs), edges)
+    dm = g.distances()
     for i, u in enumerate(vs):
         row = dm[u]
         for j in range(i + 1, len(vs)):
@@ -221,10 +295,7 @@ def is_bipartite(g):
     The coloring maps every vertex to 0/1; the odd cycle is a vertex list
     whose consecutive members (and the closing pair) are adjacent.
     """
-    depth = {}
-    for root in g.vertices:
-        if root not in depth:
-            depth.update(bfs(g.adjacency, [root]))
+    depth = g._sweep()
     for u, w in g.edges:
         if depth[u] == depth[w]:
             return False, _odd_cycle(g, depth, u, w)

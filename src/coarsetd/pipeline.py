@@ -59,7 +59,7 @@ class Partition:
     adjacent exactly when some edge crosses between them).
     """
 
-    __slots__ = ("graph", "parts", "index", "quotient")
+    __slots__ = ("graph", "parts", "index", "quotient", "_diameters")
 
     def __init__(self, g, parts):
         cleaned = []
@@ -97,6 +97,14 @@ class Partition:
             if a != b:
                 edges.add((a, b) if a < b else (b, a))
         self.quotient = Graph(len(self.parts), edges)
+        self._diameters = None
+
+    def diameters(self):
+        """Weak diameter of each part, in part order; computed once. The
+        parts are connected, so each is a number."""
+        if self._diameters is None:
+            self._diameters = tuple(weak_diameter(self.graph, p) for p in self.parts)
+        return self._diameters
 
     def __len__(self):
         return len(self.parts)
@@ -115,9 +123,7 @@ def quotient_map(p, d):
     if d < 1:
         raise ValueError("d must be a positive integer")
     g = p.graph
-    for part in p.parts:
-        # parts are connected, so the weak diameter is a number
-        diam = weak_diameter(g, part)
+    for part, diam in zip(p.parts, p.diameters()):
         if diam >= d:
             raise DiameterExceededError(part, diam, d)
     phi = QuasiIsometryMap(g, p.quotient, dict(p.index))
@@ -145,16 +151,24 @@ def augment(g, td, d):
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    dm = g.distances()
     edges = set(g.edges)
-    for t in td.nodes:
-        bag = sorted(td.bag(t))
-        for i, u in enumerate(bag):
-            row = dm[u]
-            for v in bag[i + 1:]:
-                dist = row[v]
-                if dist is not None and dist <= d:
-                    edges.add((u, v))
+    if g.short():
+        ball = g.balls(d)
+        for t in td.nodes:
+            bag = sorted(td.bag(t))
+            for i, u in enumerate(bag):
+                mask = ball[u]
+                edges.update((u, v) for v in bag[i + 1:] if mask >> v & 1)
+    else:
+        dm = g.distances()
+        for t in td.nodes:
+            bag = sorted(td.bag(t))
+            for i, u in enumerate(bag):
+                row = dm[u]
+                for v in bag[i + 1:]:
+                    dist = row[v]
+                    if dist is not None and dist <= d:
+                        edges.add((u, v))
     h = g if len(edges) == g.m else Graph(g.n, edges)
     if g.n == 0 or not g.is_connected():
         return h, identity_map(g, h)
@@ -202,7 +216,7 @@ def bipartite_partition(g, budget=None):
     if not g.is_connected():
         raise DisconnectedError("bipartite partition needs a connected graph")
     partition = Partition(g, layered_parts(g))
-    diam = max(weak_diameter(g, part) for part in partition.parts)
+    diam = max(partition.diameters())
     method = "layering"
     if budget is not None and diam > budget:
         if g.n <= EXACT_PARTITION_LIMIT:

@@ -9,6 +9,12 @@ conditions relax as q grows, so the minimal constant is solved for: the
 largest q that any one pair, or the coverage radius, forces. Connected
 inputs are required: where no path exists the defining inequalities have
 no agreed meaning, so disconnected graphs are rejected outright.
+
+When both graphs are short (see `graph`), the pairs are reduced to a
+profile read from level masks: for each distance a in G, the smallest and
+largest distance b in H among pairs at distance a. The upper inequality
+binds at the largest b and the lower one at the smallest, so the profile
+forces the same q as the full pair set.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import bfs
+from .graph import bfs, spread
 
 
 @dataclass(frozen=True)
@@ -72,15 +78,19 @@ def qi_constant(g, h, phi, qmax):
         raise DisconnectedError("quasi-isometry operations need connected graphs")
     if g != phi.source or h != phi.target:
         raise InvalidMapError("graphs differ from the map's source and target")
-    dg = g.distances()
-    dh = h.distances()
-    img = [0] + [phi.mapping[v] for v in g.vertices]
-    pairs = set()
-    for u in g.vertices:
-        row_h = dh[img[u]]
-        pairs.update(zip(dg[u][u + 1:], map(row_h.__getitem__, img[u + 1:])))
-    # h is connected, so the sweep from the image reaches every vertex
-    q = max(1, max(bfs(h.adjacency, phi.image()).values()))
+    if g.short() and h.short():
+        cover, pairs = _profile(g, h, phi)
+    else:
+        dg = g.distances()
+        dh = h.distances()
+        img = [0] + [phi.mapping[v] for v in g.vertices]
+        pairs = set()
+        for u in g.vertices:
+            row_h = dh[img[u]]
+            pairs.update(zip(dg[u][u + 1:], map(row_h.__getitem__, img[u + 1:])))
+        # h is connected, so the sweep from the image reaches every vertex
+        cover = max(bfs(h.adjacency, phi.image()).values())
+    q = max(1, cover)
     for a, b in pairs:
         if b > q * (a + 1):  # upper: b <= q * (a + 1)
             q = -(-b // (a + 1))
@@ -89,6 +99,46 @@ def qi_constant(g, h, phi, qmax):
     if q > qmax:
         raise NotWithinError(qmax)
     return q
+
+
+def _profile(g, h, phi):
+    """Coverage radius and the profile pairs (a, min b), (a, max b).
+
+    near[b][x] has bit v set for every g-vertex v whose image lies within
+    distance b of x; it grows from the fibres of phi as g's level masks grow
+    from single vertices. The ring of u at distance a is the difference of
+    its balls of radius a and a - 1. Its smallest b is the first level of
+    near at phi(u) that meets it, and its largest b the first that covers
+    it; the running min and max only ever move outward, so each vertex
+    costs two checks per distance plus the moves.
+    """
+    fibres = [0] * (h.n + 1)
+    for v, x in phi.mapping.items():
+        fibres[x] |= 1 << v
+    near = [fibres]
+    while (level := spread(h.adjacency, near[-1])) != near[-1]:
+        near.append(level)
+    # h is connected, so the last level holds every g-vertex at every x
+    cover = next(b for b, level in enumerate(near) if all(level[1:]))
+    img = phi.mapping
+    pairs = []
+    inner = g.balls(0)
+    for a in range(1, g.n):
+        outer = g.balls(a)
+        if outer is inner:
+            break
+        lo, hi = len(near), 0
+        for u in g.vertices:
+            ring = outer[u] ^ inner[u]
+            if ring:
+                x = img[u]
+                while lo and ring & near[lo - 1][x]:
+                    lo -= 1
+                while ring & near[hi][x] != ring:
+                    hi += 1
+        pairs += [(a, lo), (a, hi)]
+        inner = outer
+    return cover, pairs
 
 
 def measure(g, h, phi, qmax):

@@ -188,7 +188,7 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
     import coarsetd.graph
     from coarsetd.generators import gen_ktree
 
-    inst = gen_ktree(2, 60, random.Random(5))
+    inst = gen_ktree(2, 200, random.Random(5))
     g, td = inst.graph, inst.decomposition
     bfs = coarsetd.graph.single_source_distances
     calls = []
@@ -199,9 +199,13 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
 
     monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_bfs)
     report = run_pipeline(g, td, 2, 1)
+    quotient = report.components[0].stage2.map.target
     assert report.components[0].stage1.target is g
-    # one BFS per vertex of g (shared with h) and of the quotient
-    assert len(calls) == g.n + report.final_graph.n
+    # g (shared with h) and its quotient are short: both read level masks,
+    # and no rows table is built for either
+    assert g.short() and quotient.short()
+    assert calls == []
+    assert g._distances is None and quotient._distances is None
 
 
 D1_PARAMS = {
@@ -691,3 +695,50 @@ def test_connected_run_sweeps_the_whole_graph_three_times(monkeypatch):
     assert sum(adj is g.adjacency for adj in swept) == 2
     assert sum(adj is td.tree.adjacency for adj in swept) == 0
     assert sum(adj is final_tree.adjacency for adj in swept) == 1
+
+
+def _seed0_run_counting(monkeypatch, original):
+    """One d=1 run of the seed-0 200-vertex 2-tree, recording the arguments
+    of every call to `original` through any coarsetd module that binds it."""
+    import sys
+
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 200, random.Random(0))
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args + tuple(kwargs.values()))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coarsetd":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return run_pipeline(inst.graph, inst.decomposition, 2, 1), seen
+
+
+def test_each_part_diameter_measured_once(monkeypatch):
+    import coarsetd.graph
+
+    report, calls = _seed0_run_counting(monkeypatch, coarsetd.graph.weak_diameter)
+    parts = report.components[0].stage2.partition.parts
+    # bipartite_partition takes the max and quotient_map checks each part,
+    # both from the partition's cached diameters
+    assert len(parts) == 75
+    assert sorted(map(sorted, (part for _, part in calls))) == sorted(map(sorted, parts))
+
+
+def test_connected_run_sweeps_the_quotient_once(monkeypatch):
+    import coarsetd.graph
+
+    report, sweeps = _seed0_run_counting(monkeypatch, coarsetd.graph.bfs)
+    quotient = report.components[0].stage2.map.target
+    # is_bipartite's sweep caches the components, so qi_constant's
+    # connectivity check reads them, and the coverage radius comes from
+    # the quotient's level masks
+    assert sum(
+        adj is quotient.adjacency and len(rest) < 2 for adj, *rest in sweeps
+    ) == 1
+    assert quotient.short()
