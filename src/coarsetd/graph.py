@@ -12,11 +12,9 @@ neighbours' masks. Every other graph reads all-pairs BFS rows
 (`Graph.distances`). The component sweep measures e, the largest depth
 reached from a component's smallest vertex; the diameter D then lies
 between e and 2e, and the masks take at most D + 1 levels. A graph is
-short when 8e <= n, so that the few passes over the masks beat n BFS runs
-(on a path-like graph D nears n and they lose), and when
-(2e + 1)(n + 280) <= 56n + 448, which keeps its masks (n ints of up to
-n + 1 bits per level) no larger than the rows they replace (n lists of
-n + 1 slots); that caps e below 28.
+short when (2e + 1)(n + 280) <= 56n + 448, which keeps its masks (n ints
+of up to n + 1 bits per level) no larger than the rows they replace (n
+lists of n + 1 slots); that caps e below 28 and at n/8.
 """
 
 from __future__ import annotations
@@ -87,14 +85,18 @@ class Graph:
     def balls(self, r):
         """Level masks for radius r: entry v (entry 0 unused) has bit w set
         for every vertex w within distance r of v. Built one level per pass
-        and cached; once a level repeats, it stands for every larger r."""
+        and cached; once a level repeats, it stands for every larger r.
+
+        A published list is never changed: each new level publishes a new
+        list, so a reader on another thread keeps a consistent snapshot and
+        two threads extending at once only repeat work."""
         masks = self._masks
         if masks is None:
             masks = self._masks = [[0] + [1 << v for v in self.vertices]]
         # a settled list ends in the same level object twice
         while len(masks) <= r and (len(masks) < 2 or masks[-1] is not masks[-2]):
             level = spread(self.adjacency, masks[-1])
-            masks.append(masks[-1] if level == masks[-1] else level)
+            masks = self._masks = masks + [masks[-1] if level == masks[-1] else level]
         return masks[min(r, len(masks) - 1)]
 
     def short(self):
@@ -116,10 +118,9 @@ class Graph:
                 comps.append(frozenset(reached))
         self._components = 1 if len(comps) == 1 else tuple(comps)
         e = max(depth.values(), default=0)
-        n = self.n
         # at most 2e + 1 levels of n masks, each at most 40 + n/7 bytes with
         # its list slot, against n rows of 8n + 64 bytes
-        self._short = 8 * e <= n and (2 * e + 1) * (n + 280) <= 56 * n + 448
+        self._short = (2 * e + 1) * (self.n + 280) <= 56 * self.n + 448
         return depth
 
     def connected_components(self):

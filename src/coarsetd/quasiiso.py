@@ -125,8 +125,6 @@ def _profile(g, h, phi):
     inner = g.balls(0)
     for a in range(1, g.n):
         outer = g.balls(a)
-        if outer is inner:
-            break
         lo, hi = len(near), 0
         for u in g.vertices:
             ring = outer[u] ^ inner[u]
@@ -136,6 +134,8 @@ def _profile(g, h, phi):
                     lo -= 1
                 while ring & near[hi][x] != ring:
                     hi += 1
+        if hi < lo:  # no ring at distance a, so no pair is this far apart
+            break
         pairs += [(a, lo), (a, hi)]
         inner = outer
     return cover, pairs

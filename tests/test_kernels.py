@@ -3,6 +3,7 @@ rest. Every answer must be the same whichever kernel gives it."""
 
 import random
 import sys
+import threading
 from unittest.mock import patch
 
 import pytest
@@ -16,6 +17,7 @@ from coarsetd import (
     augment,
     decomposition_from_order,
     generate_corpus,
+    identity_map,
     power_graph,
     qi_constant,
     weak_diameter,
@@ -166,7 +168,7 @@ def spider(e, n):
 def test_selection_rule():
     assert gen_ktree(2, 200, random.Random(0)).graph.short()
     assert not gen_path(200).graph.short()
-    # 8e <= n holds, but masks at 2e + 1 levels would outgrow the rows
+    # masks at 2e + 1 levels would outgrow the rows
     assert not spider(12, 96).short()
 
 
@@ -182,3 +184,41 @@ def test_masks_never_outgrow_the_rows(e):
     masks = sum(sys.getsizeof(level) + sum(map(sys.getsizeof, level)) for level in levels)
     rows = g.distances()
     assert masks <= sys.getsizeof(rows) + sum(map(sys.getsizeof, rows[1:]))
+
+
+def test_threads_extending_one_graphs_levels():
+    """Threads that extend the same graph's levels at once must each see
+    the balls of the rows at every radius, never a level settled early."""
+    base = gen_ktree(2, 120, random.Random(1)).graph
+    assert base.short()
+    dm = base.distances()
+    diam = max(max(row[1:]) for row in dm[1:])
+    want = [
+        [0] + [sum(1 << v for v in base.vertices if dm[u][v] <= r) for u in base.vertices]
+        for r in range(diam + 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            g = fresh(base)
+            got = []
+
+            def work(first_qi):
+                out = [qi_constant(g, g, identity_map(g, g), 9)] if first_qi else []
+                out.append([g.balls(r) for r in range(diam + 2)])
+                out.append(weak_diameter(g, g.vertices))
+                out.append(qi_constant(g, g, identity_map(g, g), 9))
+                got.append(out[-4:])
+
+            threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert sorted(map(len, got)) == [3, 3, 4, 4]
+            for out in got:
+                assert out[-3:] == [want, diam, 1]
+                assert len(out) == 3 or out[0] == 1
+    finally:
+        sys.setswitchinterval(interval)

@@ -188,8 +188,6 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
     import coarsetd.graph
     from coarsetd.generators import gen_ktree
 
-    inst = gen_ktree(2, 200, random.Random(5))
-    g, td = inst.graph, inst.decomposition
     bfs = coarsetd.graph.single_source_distances
     calls = []
 
@@ -198,14 +196,24 @@ def test_pipeline_d1_shares_distance_table(monkeypatch):
         return bfs(graph, source)
 
     monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_bfs)
-    report = run_pipeline(g, td, 2, 1)
-    quotient = report.components[0].stage2.map.target
-    assert report.components[0].stage1.target is g
-    # g (shared with h) and its quotient are short: both read level masks,
-    # and no rows table is built for either
-    assert g.short() and quotient.short()
-    assert calls == []
-    assert g._distances is None and quotient._distances is None
+    for n, layout in ((200, "random"), (60, "path")):
+        inst = gen_ktree(2, n, random.Random(5), layout)
+        g, td = inst.graph, inst.decomposition
+        calls.clear()
+        report = run_pipeline(g, td, 2, 1)
+        quotient = report.components[0].stage2.map.target
+        assert report.components[0].stage1.target is g
+        if layout == "random":
+            # g (shared with h) and its quotient are short: both read level
+            # masks, and no rows table is built for either
+            assert g.short() and quotient.short()
+            assert calls == []
+            assert g._distances is None and quotient._distances is None
+        else:
+            # both are long: g's rows are built once and shared with h, and
+            # the quotient's once
+            assert not g.short() and not quotient.short()
+            assert len(calls) == g.n + quotient.n
 
 
 D1_PARAMS = {
