@@ -2,36 +2,37 @@
 
 Vertices are the integers 1..n. Graphs are immutable once built, so shared
 instances are safe to read concurrently and every operation here is a pure
-function of its arguments. Connected components and distances are computed
-lazily and cached on the instance.
+function of its arguments. Connected components, BFS depths and level masks
+are computed lazily and cached on the instance; no whole-graph distance
+table is ever kept.
 
-Distances come from one of two kernels, chosen once per graph. A short
-graph answers from level masks (`Graph.balls`): bitsets of the vertices
-within distance r of each vertex, built one radius at a time by OR-ing
-neighbours' masks. Every other graph reads all-pairs BFS rows
-(`Graph.distances`). The component sweep measures e, the largest depth
-reached from a component's smallest vertex; the diameter D then lies
-between e and 2e, and the masks take at most D + 1 levels. A graph is
-short when (2e + 1)(n + 280) <= 56n + 448, which keeps its masks (n ints
-of up to n + 1 bits per level) no larger than the rows they replace (n
-lists of n + 1 slots); that caps e below 28 and at n/8.
+Level masks (`Graph.balls`) are bitsets of the vertices within distance r
+of each vertex, built one radius at a time by OR-ing neighbours' masks.
+The component sweep measures e, the largest depth reached from a
+component's smallest vertex, so the diameter D lies between e and 2e and
+the masks for radius r take at most min(r, 2e) + 1 levels. One rule,
+`g.fits(r)`, caps them at 56 levels: n masks of up to n + 1 bits each, so
+56 levels stay within the 8 bytes per pair of an n x n table. A distance
+question at radius r reads the masks when g fits r, and otherwise one
+uncached BFS row (`single_source_distances`) per member.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import reduce
+from math import inf
 from operator import or_
 
 from .errors import EmptySetError
+
+MASK_LEVELS = 56  # the most level masks a graph holds; see the docstring
 
 
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
-    __slots__ = (
-        "n", "edges", "adjacency", "_components", "_distances", "_short", "_masks"
-    )
+    __slots__ = ("n", "edges", "adjacency", "_components", "_depth", "_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -51,8 +52,7 @@ class Graph:
         self.edges = frozenset(canon)
         self.adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
         self._components = None
-        self._distances = None
-        self._short = None
+        self._depth = None
         self._masks = None
 
     @property
@@ -69,19 +69,6 @@ class Graph:
     def degree(self, v):
         return len(self.adjacency[v])
 
-    def distances(self):
-        """All-pairs hop distances as rows, dm[u][v]; computed once and cached.
-
-        Row 0 and index 0 of each row are unused; None marks "no path", and
-        comparing or doing arithmetic with it raises.
-        """
-        if self._distances is None:
-            rows = [None] * (self.n + 1)
-            for v in self.vertices:
-                rows[v] = single_source_distances(self, v)
-            self._distances = rows
-        return self._distances
-
     def balls(self, r):
         """Level masks for radius r: entry v (entry 0 unused) has bit w set
         for every vertex w within distance r of v. Built one level per pass
@@ -89,39 +76,41 @@ class Graph:
 
         A published list is never changed: each new level publishes a new
         list, so a reader on another thread keeps a consistent snapshot and
-        two threads extending at once only repeat work."""
+        two threads extending at once only repeat work. A 57th level raises
+        ValueError: callers ask only for radii that g fits."""
         masks = self._masks
         if masks is None:
             masks = self._masks = [[0] + [1 << v for v in self.vertices]]
         # a settled list ends in the same level object twice
         while len(masks) <= r and (len(masks) < 2 or masks[-1] is not masks[-2]):
+            if len(masks) == MASK_LEVELS:
+                raise ValueError(f"radius {r} needs more than {MASK_LEVELS} mask levels")
             level = spread(self.adjacency, masks[-1])
             masks = self._masks = masks + [masks[-1] if level == masks[-1] else level]
         return masks[min(r, len(masks) - 1)]
 
-    def short(self):
-        """True when distance questions read level masks rather than rows
-        (see the module docstring); decided by the component sweep."""
-        if self._short is None:
-            self._sweep()
-        return self._short
+    def fits(self, r):
+        """True when the level masks up to radius r stay within MASK_LEVELS
+        (see the module docstring); e comes from the component sweep."""
+        return min(r, 2 * self._sweep()[1]) < MASK_LEVELS
 
     def _sweep(self):
-        """BFS from the smallest vertex of each component, in order: caches
-        the components and the kernel choice, and returns {vertex: depth}."""
-        depth = {}
-        comps = []
-        for root in self.vertices:
-            if root not in depth:
-                reached = bfs(self.adjacency, [root])
-                depth.update(reached)
-                comps.append(frozenset(reached))
-        self._components = 1 if len(comps) == 1 else tuple(comps)
-        e = max(depth.values(), default=0)
-        # at most 2e + 1 levels of n masks, each at most 40 + n/7 bytes with
-        # its list slot, against n rows of 8n + 64 bytes
-        self._short = (2 * e + 1) * (self.n + 280) <= 56 * self.n + 448
-        return depth
+        """BFS from the smallest vertex of each component, in order, made
+        once: caches the components and returns (depth, e), where depth[v]
+        is v's depth (index 0 unused) and e the largest depth reached."""
+        if self._depth is None:
+            depth = [None] * (self.n + 1)
+            comps = []
+            for root in self.vertices:
+                if depth[root] is None:
+                    reached = bfs(self.adjacency, [root])
+                    for v, dv in reached.items():
+                        depth[v] = dv
+                    comps.append(frozenset(reached))
+            depth[0] = 0
+            self._components = 1 if len(comps) == 1 else tuple(comps)
+            self._depth = depth, max(depth)
+        return self._depth
 
     def connected_components(self):
         """Components as frozensets, ordered by smallest member; computed
@@ -174,17 +163,20 @@ def spread(adj, level):
     ]
 
 
-def bfs(adj, sources, within=None):
+def bfs(adj, sources, within=None, radius=inf):
     """Breadth-first search over the adjacency map `adj`.
 
     Returns {vertex: depth} in visit order, depth 0 at the sources. When
-    `within` is given, only its members are entered besides the sources.
+    `within` is given, only its members are entered besides the sources;
+    no vertex deeper than `radius` is entered.
     """
     depth = dict.fromkeys(sources, 0)
     queue = deque(depth)
     while queue:
         u = queue.popleft()
         du = depth[u] + 1
+        if du > radius:
+            break
         for w in adj[u]:
             if w not in depth and (within is None or w in within):
                 depth[w] = du
@@ -218,27 +210,42 @@ def weak_diameter(g, s):
     if not members:
         raise EmptySetError("weak diameter of the empty set is undefined")
     check_vertices(g, members)
-    if g.short():
-        target = reduce(or_, (1 << v for v in members))
-        r, ball = 0, g.balls(0)
-        for u in members:
-            while ball[u] & target != target:
-                wider = g.balls(r + 1)
-                if wider is ball:  # settled short of the whole set
-                    return None
-                r, ball = r + 1, wider
-        return r
-    dm = g.distances()
-    best = 0
+    target = reduce(or_, (1 << v for v in members))
+    r, ball = 0, g.balls(0)
     for i, u in enumerate(members):
-        row = dm[u]
-        for v in members[i + 1:]:
-            d = row[v]
-            if d is None:
+        while ball[u] & target != target:
+            if not g.fits(r + 1):
+                # earlier members reach the whole set within r; u and the
+                # later ones read one row each
+                for w in members[i:]:
+                    row = single_source_distances(g, w)
+                    dists = [row[v] for v in members]
+                    if None in dists:
+                        return None
+                    r = max(r, *dists)
+                return r
+            wider = g.balls(r + 1)
+            if wider is ball:  # settled short of the whole set
                 return None
-            if d > best:
-                best = d
-    return best
+            r, ball = r + 1, wider
+    return r
+
+
+def near_pairs(g, d, vs):
+    """Index pairs (i, j), 1 <= i < j, of the members vs[i-1], vs[j-1] of
+    the sorted list `vs` that lie within distance d of each other."""
+    pairs = []
+    if g.fits(d):
+        ball, bits = g.balls(d), [1 << v for v in vs]
+        for i, u in enumerate(vs, 1):
+            mask = ball[u]
+            pairs += [(i, j + 1) for j in range(i, len(vs)) if mask & bits[j]]
+        return pairs
+    for i, u in enumerate(vs, 1):
+        row = single_source_distances(g, u)
+        near = [x is not None and x <= d for x in map(row.__getitem__, vs)]
+        pairs += [(i, j + 1) for j in range(i, len(vs)) if near[j]]
+    return pairs
 
 
 def power_graph(g, d, restrict=None):
@@ -253,26 +260,13 @@ def power_graph(g, d, restrict=None):
         raise ValueError("power graph exponent must be >= 1")
     vs = sorted(restrict) if restrict is not None else list(g.vertices)
     check_vertices(g, vs)
-    edges = []
-    if g.short():
-        ball, bits = g.balls(d), [1 << v for v in vs]
-        for i, u in enumerate(vs):
-            mask = ball[u]
-            edges += [(i + 1, j + 1) for j in range(i + 1, len(vs)) if mask & bits[j]]
-        return Graph(len(vs), edges)
-    dm = g.distances()
-    for i, u in enumerate(vs):
-        row = dm[u]
-        for j in range(i + 1, len(vs)):
-            dist = row[vs[j]]
-            if dist is not None and dist <= d:
-                edges.append((i + 1, j + 1))
-    return Graph(len(vs), edges)
+    return Graph(len(vs), near_pairs(g, d, vs))
 
 
 def induced_subgraph(g, s):
     """Induced subgraph relabelled onto 1..|s|, plus the id list mapping back;
-    g itself (with its distance table) when `s` is the whole vertex set."""
+    g itself (with its cached sweep and masks) when `s` is the whole vertex
+    set."""
     vs = sorted(s)
     check_vertices(g, vs)
     if len(vs) == g.n:
@@ -296,7 +290,7 @@ def is_bipartite(g):
     The coloring maps every vertex to 0/1; the odd cycle is a vertex list
     whose consecutive members (and the closing pair) are adjacent.
     """
-    depth = g._sweep()
+    depth = g._sweep()[0]
     for u, w in g.edges:
         if depth[u] == depth[w]:
             return False, _odd_cycle(g, depth, u, w)

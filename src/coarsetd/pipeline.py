@@ -44,6 +44,8 @@ from .graph import (
     bfs,
     induced_subgraph,
     is_bipartite,
+    near_pairs,
+    single_source_distances,
     weak_diameter,
 )
 from .quasiiso import QuasiIsometryMap, compose, identity_map, measure
@@ -143,32 +145,18 @@ def augment(g, td, d):
 
     Precondition: td is a valid decomposition of g (not rechecked here).
     Returns (h, identity quasi-isometry g -> h); td is a decomposition of h
-    too: new edges stay inside bags, traces are untouched. When
-    no edge is added, h is g itself, so the two share one distance table. On
-    a connected graph the identity map carries its constant: 1 when h is g,
-    by definition, else measured (at most max(d, 1)); on a disconnected one
-    it is returned unmeasured.
+    too: new edges stay inside bags, traces are untouched. When no edge is
+    added, h is g itself, so the two share one sweep and one set of level
+    masks. On a connected graph the identity map carries its constant: 1
+    when h is g, by definition, else measured (at most max(d, 1)); on a
+    disconnected one it is returned unmeasured.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     edges = set(g.edges)
-    if g.short():
-        ball = g.balls(d)
-        for t in td.nodes:
-            bag = sorted(td.bag(t))
-            for i, u in enumerate(bag):
-                mask = ball[u]
-                edges.update((u, v) for v in bag[i + 1:] if mask >> v & 1)
-    else:
-        dm = g.distances()
-        for t in td.nodes:
-            bag = sorted(td.bag(t))
-            for i, u in enumerate(bag):
-                row = dm[u]
-                for v in bag[i + 1:]:
-                    dist = row[v]
-                    if dist is not None and dist <= d:
-                        edges.add((u, v))
+    for t in td.nodes:
+        bag = sorted(td.bag(t))
+        edges.update((bag[i - 1], bag[j - 1]) for i, j in near_pairs(g, d, bag))
     h = g if len(edges) == g.m else Graph(g.n, edges)
     if g.n == 0 or not g.is_connected():
         return h, identity_map(g, h)
@@ -178,14 +166,16 @@ def augment(g, td, d):
 
 
 def layered_parts(g):
-    """Connected components of each BFS layer, rooted at the smallest vertex.
+    """Connected components of each BFS layer, rooted at the smallest vertex
+    of each component; the layers are those of g's component sweep.
 
     Same-layer edges stay inside parts and cross-layer edges only join
     consecutive layers, so layer parity properly 2-colors the quotient.
     """
+    depth = g._sweep()[0]
     layers = {}
-    for v, depth in bfs(g.adjacency, [min(g.vertices)]).items():
-        layers.setdefault(depth, set()).add(v)
+    for v in g.vertices:
+        layers.setdefault(depth[v], set()).add(v)
     parts = []
     for layer in layers.values():
         remaining = set(layer)
@@ -242,8 +232,9 @@ def minimum_diameter_bipartite_partition(g):
     if not g.is_connected():
         raise DisconnectedError("partition search needs a connected graph")
     _check_cap(g.n, EXACT_PARTITION_LIMIT, "graph")
+    dm = [None] + [single_source_distances(g, v) for v in g.vertices]
     for bound in range(weak_diameter(g, g.vertices) + 1):
-        partition = _search_partition(g, g.distances(), bound)
+        partition = _search_partition(g, dm, bound)
         if partition is not None:
             return partition, bound
     raise AssertionError("internal error: the one-part partition always works")

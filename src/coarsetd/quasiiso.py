@@ -10,17 +10,21 @@ largest q that any one pair, or the coverage radius, forces. Connected
 inputs are required: where no path exists the defining inequalities have
 no agreed meaning, so disconnected graphs are rejected outright.
 
-When both graphs are short (see `graph`), the pairs are reduced to a
-profile read from level masks: for each distance a in G, the smallest and
-largest distance b in H among pairs at distance a. The upper inequality
-binds at the largest b and the lower one at the smallest, so the profile
-forces the same q as the full pair set.
+When both graphs fit every radius (`Graph.fits`, see `graph`), the pairs
+are reduced to a profile read from level masks: for each distance a in G,
+the smallest and largest distance b in H among pairs at distance a. The
+upper inequality binds at the largest b and the lower one at the
+smallest, so the profile forces the same q as the full pair set.
+Otherwise the pairs are streamed from BFS rows: one row of H per image
+vertex, then one row of G per member of that vertex's fibre, each folded
+into the set of distinct pairs and dropped, so no distance table is held.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from math import inf
 
 from .decomposition import TreeDecomposition, require_valid
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import bfs, spread
+from .graph import bfs, single_source_distances, spread
 
 
 @dataclass(frozen=True)
@@ -78,16 +82,19 @@ def qi_constant(g, h, phi, qmax):
         raise DisconnectedError("quasi-isometry operations need connected graphs")
     if g != phi.source or h != phi.target:
         raise InvalidMapError("graphs differ from the map's source and target")
-    if g.short() and h.short():
+    if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
     else:
-        dg = g.distances()
-        dh = h.distances()
         img = [0] + [phi.mapping[v] for v in g.vertices]
+        fibres = {}
+        for v in g.vertices:
+            fibres.setdefault(img[v], []).append(v)
         pairs = set()
-        for u in g.vertices:
-            row_h = dh[img[u]]
-            pairs.update(zip(dg[u][u + 1:], map(row_h.__getitem__, img[u + 1:])))
+        for x, fibre in fibres.items():
+            row_h = single_source_distances(h, x)
+            for u in fibre:
+                row_g = single_source_distances(g, u)
+                pairs.update(zip(row_g[u + 1:], map(row_h.__getitem__, img[u + 1:])))
         # h is connected, so the sweep from the image reaches every vertex
         cover = max(bfs(h.adjacency, phi.image()).values())
     q = max(1, cover)
@@ -184,24 +191,15 @@ def pullback_decomposition(g, h, phi, td_h, c):
         raise ValueError("c must be a positive integer")
     qi_constant(g, h, phi, c)  # checks the inputs; NotWithinError if not a c-qi
     require_valid(h, td_h, "host decomposition")
-    dh = h.distances()
     by_image = {}
     for v in g.vertices:
         by_image.setdefault(phi.mapping[v], []).append(v)
-    balls = {}
-
-    def ball(x):
-        got = balls.get(x)
-        if got is None:
-            row = dh[x]
-            got = frozenset(v for y, vs in by_image.items() if row[y] <= c for v in vs)
-            balls[x] = got
-        return got
-
-    bags = {}
-    for t in td_h.nodes:
-        members = set()
-        for x in td_h.bag(t):
-            members |= ball(x)
-        bags[t] = frozenset(members)
+    # td_h is valid, so every vertex of h lies in some bag
+    balls = {
+        x: [v for y in bfs(h.adjacency, [x], radius=c) for v in by_image.get(y, ())]
+        for x in h.vertices
+    }
+    bags = {
+        t: frozenset(v for x in td_h.bag(t) for v in balls[x]) for t in td_h.nodes
+    }
     return TreeDecomposition(td_h.tree, bags, shape=td_h.shape)

@@ -7,6 +7,7 @@ exhaustive enumeration, and stays independent of the code paths it checks.
 from itertools import combinations, permutations, product
 
 from coarsetd import weak_diameter
+from coarsetd.graph import single_source_distances
 
 
 def brute_alpha(g):
@@ -61,10 +62,16 @@ def brute_treewidth(g):
     return min(elimination_width(g, order) for order in permutations(g.vertices))
 
 
+def distance_rows(g):
+    """All-pairs hop distances as rows, dm[u][v], one BFS per vertex; row 0
+    and index 0 of each row are unused, and None marks "no path"."""
+    return [None] + [single_source_distances(g, v) for v in g.vertices]
+
+
 def qi_constant_brute(g, h, mapping, qmax):
     """Literal float evaluation of the definition, scanning q upward."""
-    dg = g.distances()
-    dh = h.distances()
+    dg = distance_rows(g)
+    dh = distance_rows(h)
     for q in range(1, qmax + 1):
         ok = True
         for u in g.vertices:

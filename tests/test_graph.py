@@ -21,6 +21,7 @@ from helpers import (
     path_graph,
     random_graph,
 )
+from oracles import distance_rows
 
 
 def test_construction_rejects_bad_edges():
@@ -39,19 +40,19 @@ def test_duplicate_edges_collapse():
 
 def test_distances_on_path():
     g = path_graph(5)
-    assert g.distances()[1][5] == 4
-    assert g.distances()[3][3] == 0
+    assert distance_rows(g)[1][5] == 4
+    assert distance_rows(g)[3][3] == 0
 
 
 def test_distances_cross_component():
     g = Graph(4, [(1, 2), (3, 4)])
-    assert g.distances()[1][3] is None
-    assert g.distances()[1][2] == 1
+    assert distance_rows(g)[1][3] is None
+    assert distance_rows(g)[1][2] == 1
 
 
 def test_distances_antipodal_cycle():
     g = cycle_graph(6)
-    assert g.distances()[1][4] == 3
+    assert distance_rows(g)[1][4] == 3
 
 
 def test_weak_diameter():
@@ -183,6 +184,10 @@ def test_bfs_matches_fixed_point_oracle():
         got = bfs(g.adjacency, sources, within=within)
         assert got == reachable_depths(g.adjacency, sources, within)
         assert list(got.values()) == sorted(got.values())  # visit order
+        radius = rng.randint(0, 4)
+        assert bfs(g.adjacency, sources, within=within, radius=radius) == {
+            v: depth for v, depth in got.items() if depth <= radius
+        }
 
 
 def test_bipartite_coloring_proper_and_witness_odd_closed():

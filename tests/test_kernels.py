@@ -1,9 +1,11 @@
-"""The two distance kernels: level masks on short graphs, BFS rows on the
-rest. Every answer must be the same whichever kernel gives it."""
+"""The two distance kernels: level masks where `Graph.fits` allows them,
+uncached BFS rows elsewhere. Every answer must be the same whichever kernel
+gives it, and the same as the oracle rows."""
 
 import random
 import sys
 import threading
+from math import inf
 from unittest.mock import patch
 
 import pytest
@@ -12,18 +14,23 @@ from hypothesis import given, settings, strategies as st
 from coarsetd import (
     CoarseTDError,
     Graph,
+    NotWithinError,
     Partition,
     QuasiIsometryMap,
     augment,
+    centred_check,
     decomposition_from_order,
     generate_corpus,
     identity_map,
     power_graph,
+    pullback_decomposition,
     qi_constant,
     weak_diameter,
 )
-from coarsetd.generators import FAMILIES, gen_ktree, gen_path
+from coarsetd.generators import FAMILIES, gen_ktree, gen_path, gen_subdivided_ktree
 from coarsetd.pipeline import layered_parts
+from helpers import path_graph
+from oracles import distance_rows, qi_constant_brute
 
 PARAMS = {
     "path": st.fixed_dictionaries({"n": st.integers(1, 12)}),
@@ -79,8 +86,8 @@ def both_kernels(make, call):
     """call(*make()) with the masks forced, then with the rows forced, each
     on fresh graphs; a CoarseTDError counts as its type and message."""
     out = []
-    for short in (True, False):
-        with patch.object(Graph, "short", lambda self, short=short: short):
+    for fits in (True, False):
+        with patch.object(Graph, "fits", lambda self, r, fits=fits: fits):
             args = make()
             try:
                 out.append(call(*args))
@@ -96,7 +103,7 @@ def fresh(g):
 @given(inputs())
 @settings(max_examples=80, deadline=None)
 def test_level_masks_are_the_balls_of_the_rows(g):
-    dm = g.distances()
+    dm = distance_rows(g)
     for r in range(g.n + 1):
         ball = g.balls(r)
         for u in g.vertices:
@@ -111,16 +118,25 @@ def test_kernels_agree_on_local_questions(g, d, data):
     members = data.draw(st.sets(st.sampled_from(list(g.vertices)), min_size=1))
     order = data.draw(st.permutations(list(g.vertices)))
     td = decomposition_from_order(g, order)
+    dm = distance_rows(g)
+
+    def near(u, v):
+        return dm[u][v] is not None and dm[u][v] <= d
+
+    vs = sorted(members)
     power = both_kernels(lambda: (fresh(g),), lambda x: power_graph(x, d, members))
-    assert power[0] == power[1]
+    assert power[0] == power[1] == Graph(len(vs), [
+        (i + 1, j + 1)
+        for i in range(len(vs)) for j in range(i + 1, len(vs)) if near(vs[i], vs[j])
+    ])
     diam = both_kernels(lambda: (fresh(g),), lambda x: weak_diameter(x, members))
-    assert diam[0] == diam[1]
-    if g.is_connected():
-        assert diam[0] == max(
-            g.distances()[u][v] for u in members for v in members
-        )
+    dists = [dm[u][v] for u in members for v in members]
+    assert diam[0] == diam[1] == (None if None in dists else max(dists))
     aug = both_kernels(lambda: (fresh(g),), lambda x: augment(x, td, d)[0].edges)
-    assert aug[0] == aug[1]
+    assert aug[0] == aug[1] == g.edges | {
+        (u, v) for t in td.nodes for u in td.bag(t) for v in td.bag(t)
+        if u < v and near(u, v)
+    }
 
 
 @given(inputs(), inputs(), st.integers(1, 30), st.data())
@@ -154,6 +170,13 @@ def test_kernels_agree_on_qi_constant(g, h, qmax, data):
 
     got = both_kernels(make, call)
     assert got[0] == got[1]
+    src, dst, mapping = make()
+    if src.is_connected() and dst.is_connected():
+        want = qi_constant_brute(src, dst, mapping, qmax)
+        if want is None:
+            assert got[0] == (NotWithinError, str(NotWithinError(qmax)))
+        else:
+            assert got[0] == want
 
 
 def spider(e, n):
@@ -166,32 +189,60 @@ def spider(e, n):
 
 
 def test_selection_rule():
-    assert gen_ktree(2, 200, random.Random(0)).graph.short()
-    assert not gen_path(200).graph.short()
-    # masks at 2e + 1 levels would outgrow the rows
-    assert not spider(12, 96).short()
+    # fits(r) is min(r, 2e) < 56, e the depth of the component sweep
+    assert gen_ktree(2, 200, random.Random(0)).graph.fits(inf)
+    path = gen_path(200).graph
+    assert path.fits(55) and not path.fits(56) and not path.fits(inf)
+    assert spider(27, 60).fits(inf)
+    assert spider(28, 60).fits(55) and not spider(28, 60).fits(56)
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 5, 8])
-def test_masks_never_outgrow_the_rows(e):
-    # the smallest n at which a spider of depth e is short
-    n = next(n for n in range(2 * e + 1, 1000) if spider(e, n).short())
-    g = spider(e, n)
-    assert not spider(e, n - 1).short()
-    g.balls(g.n)
-    levels = {id(level): level for level in g._masks}.values()
-    assert len(levels) == 2 * e + 1
-    masks = sum(sys.getsizeof(level) + sum(map(sys.getsizeof, level)) for level in levels)
-    rows = g.distances()
-    assert masks <= sys.getsizeof(rows) + sum(map(sys.getsizeof, rows[1:]))
+def levels(g):
+    """Distinct mask levels g holds; a settled list repeats its last one."""
+    return len({id(level) for level in g._masks or ()})
+
+
+def test_no_graph_holds_more_than_56_levels():
+    """Each public distance question, asked at radii far past 56 of graphs
+    whose diameter is past 56 too."""
+    path = path_graph(300)
+    ends = {1, 100, 300}
+    td = decomposition_from_order(path, list(path.vertices))
+    inst = gen_subdivided_ktree(1, 40, 2, random.Random(3), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    calls = [
+        lambda: weak_diameter(path, ends),
+        lambda: power_graph(path, 200, ends),
+        lambda: centred_check(path, ends, 2, 150),
+        lambda: augment(path, td, 100),
+        lambda: qi_constant(path, path, identity_map(path, path), 9),
+        lambda: pullback_decomposition(g, h, phi, inst.base_decomposition, 3),
+    ]
+    for call in calls:
+        call()
+        assert max(map(levels, (path, g, h))) <= 56
+    assert levels(path) == 56
+    with pytest.raises(ValueError, match="more than 56 mask levels"):
+        path.balls(56)
+    assert levels(path) == 56
+
+
+def test_large_radius_on_a_long_path():
+    """Radii past the rule read rows: no level list as long as the path."""
+    g = path_graph(1500)
+    assert centred_check(g, {1, 1500}, 1, 1499).centred is True
+    assert levels(g) <= 56
+    g = path_graph(1500)
+    assert weak_diameter(g, {1, 750, 1500}) == 1499
+    assert levels(g) <= 56
 
 
 def test_threads_extending_one_graphs_levels():
     """Threads that extend the same graph's levels at once must each see
     the balls of the rows at every radius, never a level settled early."""
     base = gen_ktree(2, 120, random.Random(1)).graph
-    assert base.short()
-    dm = base.distances()
+    assert base.fits(inf)
+    dm = distance_rows(base)
     diam = max(max(row[1:]) for row in dm[1:])
     want = [
         [0] + [sum(1 << v for v in base.vertices if dm[u][v] <= r) for u in base.vertices]

@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 
@@ -40,6 +41,7 @@ from helpers import (
     random_graph,
     single_bag_td,
 )
+from oracles import distance_rows
 
 
 def p5_bags_td():
@@ -184,36 +186,45 @@ def test_augment_d1_keeps_graph():
     assert phi.measured_q == 1
 
 
-def test_pipeline_d1_shares_distance_table(monkeypatch):
+def test_pipeline_d1_row_builds(monkeypatch):
+    import gc
+    import weakref
+
     import coarsetd.graph
     from coarsetd.generators import gen_ktree
 
-    bfs = coarsetd.graph.single_source_distances
-    calls = []
+    class Row(list):
+        """A list that can be weakly referenced."""
 
-    def counting_bfs(graph, source):
-        calls.append(source)
-        return bfs(graph, source)
+    original = coarsetd.graph.single_source_distances
+    rows = []
 
-    monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_bfs)
+    def building(graph, source):
+        row = Row(original(graph, source))
+        rows.append(weakref.ref(row))
+        return row
+
+    _patch_everywhere(monkeypatch, original, building)
     for n, layout in ((200, "random"), (60, "path")):
         inst = gen_ktree(2, n, random.Random(5), layout)
         g, td = inst.graph, inst.decomposition
-        calls.clear()
+        rows.clear()
         report = run_pipeline(g, td, 2, 1)
         quotient = report.components[0].stage2.map.target
         assert report.components[0].stage1.target is g
         if layout == "random":
-            # g (shared with h) and its quotient are short: both read level
-            # masks, and no rows table is built for either
-            assert g.short() and quotient.short()
-            assert calls == []
-            assert g._distances is None and quotient._distances is None
+            # g (shared with h) and its quotient fit every radius: both
+            # read level masks, and no row is built
+            assert g.fits(inf) and quotient.fits(inf)
+            assert rows == []
         else:
-            # both are long: g's rows are built once and shared with h, and
-            # the quotient's once
-            assert not g.short() and not quotient.short()
-            assert len(calls) == g.n + quotient.n
+            # g is too deep for masks at every radius, so qi_constant
+            # streams one row per vertex of g and of the quotient
+            assert not g.fits(inf)
+            assert len(rows) == g.n + quotient.n
+            # and keeps none of them
+            gc.collect()
+            assert all(ref() is None for ref in rows)
 
 
 D1_PARAMS = {
@@ -303,7 +314,7 @@ def test_augment_distance_sandwich():
         _, td = exact_treewidth(g)
         h, _ = augment(g, td, d)
         assert h.edges >= g.edges and h.n == g.n
-        dg, dh = g.distances(), h.distances()
+        dg, dh = distance_rows(g), distance_rows(h)
         for u in g.vertices:
             for v in g.vertices:
                 assert dh[u][v] <= dg[u][v] <= d * dh[u][v]
@@ -676,55 +687,54 @@ def test_disconnected_runs_are_pinned_byte_for_byte():
     )
 
 
-def test_connected_run_sweeps_the_whole_graph_three_times(monkeypatch):
-    import sys
-
+def test_connected_run_sweeps_the_whole_graph_once(monkeypatch):
     import coarsetd.graph
     from coarsetd.generators import gen_ktree
 
     inst = gen_ktree(2, 200, random.Random(5))
     g, td = inst.graph, inst.decomposition
-    original = coarsetd.graph.bfs
-    swept = []
-
-    def counting(adj, sources, within=None):
-        if within is None:
-            swept.append(adj)
-        return original(adj, sources, within)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "coarsetd" and getattr(module, "bfs", None) is original:
-            monkeypatch.setattr(module, "bfs", counting)
-    report = run_pipeline(g, td, 2, 1)
+    report, calls = _run_counting(monkeypatch, coarsetd.graph.bfs, g, td)
+    swept = [adj for adj, _, *within in calls if not within]
     final_tree = report.final_decomposition.tree
-    # the split and the layering sweep g; the new final tree is swept once
-    # to check that it is a tree; td.tree's components were cached when td
-    # was built, and every stage reads g's cached components
-    assert sum(adj is g.adjacency for adj in swept) == 2
+    # the split sweeps g, and the layering reads that sweep's depths; the
+    # new final tree is swept once to check that it is a tree; td.tree's
+    # components were cached when td was built, and every stage reads g's
+    # cached components
+    assert sum(adj is g.adjacency for adj in swept) == 1
     assert sum(adj is td.tree.adjacency for adj in swept) == 0
     assert sum(adj is final_tree.adjacency for adj in swept) == 1
 
 
-def _seed0_run_counting(monkeypatch, original):
-    """One d=1 run of the seed-0 200-vertex 2-tree, recording the arguments
-    of every call to `original` through any coarsetd module that binds it."""
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind `replacement` in place of `original` in every coarsetd module."""
     import sys
 
-    from coarsetd.generators import gen_ktree
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coarsetd":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
-    inst = gen_ktree(2, 200, random.Random(0))
+
+def _run_counting(monkeypatch, original, g, td):
+    """One d=1 run on (g, td), recording the arguments of every call to
+    `original` through any coarsetd module that binds it."""
     seen = []
 
     def counting(*args, **kwargs):
         seen.append(args + tuple(kwargs.values()))
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "coarsetd":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return run_pipeline(inst.graph, inst.decomposition, 2, 1), seen
+    _patch_everywhere(monkeypatch, original, counting)
+    return run_pipeline(g, td, 2, 1), seen
+
+
+def _seed0_run_counting(monkeypatch, original):
+    """_run_counting on the seed-0 200-vertex 2-tree."""
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 200, random.Random(0))
+    return _run_counting(monkeypatch, original, inst.graph, inst.decomposition)
 
 
 def test_each_part_diameter_measured_once(monkeypatch):
@@ -749,4 +759,4 @@ def test_connected_run_sweeps_the_quotient_once(monkeypatch):
     assert sum(
         adj is quotient.adjacency and len(rest) < 2 for adj, *rest in sweeps
     ) == 1
-    assert quotient.short()
+    assert quotient.fits(inf)

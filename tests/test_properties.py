@@ -14,7 +14,7 @@ from coarsetd import (
     push_decomposition,
     validate_decomposition,
 )
-from oracles import brute_treewidth
+from oracles import brute_treewidth, distance_rows
 
 
 @st.composite
@@ -28,7 +28,7 @@ def graphs(draw, max_n=8, min_n=1):
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_distance_matrix_is_a_metric(g):
-    dm = g.distances()
+    dm = distance_rows(g)
     for u in g.vertices:
         assert dm[u][u] == 0
         for v in g.vertices:
@@ -50,7 +50,7 @@ def test_unreachable_iff_cross_component(g):
     for comp in comps:
         for v in comp:
             comp_of[v] = comp
-    dm = g.distances()
+    dm = distance_rows(g)
     for u in g.vertices:
         for v in g.vertices:
             if comp_of[u] is comp_of[v]:

@@ -22,7 +22,7 @@ from coarsetd import (
     weak_diameter,
 )
 from helpers import cycle_graph, path_graph
-from oracles import qi_constant_brute
+from oracles import distance_rows, qi_constant_brute
 
 
 def all_to_one(g):
@@ -95,7 +95,7 @@ def test_map_validation():
 
 def _satisfies_at(g, h, mapping, q):
     """Direct re-check of the three defining conditions at a fixed q."""
-    dg, dh = g.distances(), h.distances()
+    dg, dh = distance_rows(g), distance_rows(h)
     for u in g.vertices:
         for v in g.vertices:
             a = dg[u][v]
@@ -303,7 +303,7 @@ def test_pullback_bags_are_ball_unions():
     td_h = inst.base_decomposition
     c = 2
     out = pullback_decomposition(g, h, phi, td_h, c)
-    dh = h.distances()
+    dh = distance_rows(h)
     k = td_h.width
     for t in out.nodes:
         bag, host_bag = out.bag(t), td_h.bag(t)
