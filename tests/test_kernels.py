@@ -202,6 +202,29 @@ def levels(g):
     return len({id(level) for level in g._masks or ()})
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 8])
+def test_masks_never_outgrow_the_rows(e):
+    """Asked for a radius far past the diameter, a spider of depth e keeps
+    one level per distance its rows hold (2e + 1), each the balls of the
+    rows, and no more mask bits than the 64 per pair of a row table."""
+    for n in (2 * e + 1, 4 * e + 2, 60):
+        g = spider(e, n)
+        assert g.fits(inf)
+        rows = distance_rows(g)
+        diam = max(max(row[1:]) for row in rows[1:])
+        assert diam == 2 * e
+        g.balls(10 * n)
+        assert levels(g) == diam + 1
+        for r in range(diam + 2):
+            assert g.balls(r) == [0] + [
+                sum(1 << v for v in g.vertices if rows[u][v] <= r) for u in g.vertices
+            ]
+        assert levels(g) == diam + 1
+        held = {id(level): level for level in g._masks}.values()
+        bits = sum(mask.bit_length() for level in held for mask in level)
+        assert bits <= 64 * n * n
+
+
 def test_no_graph_holds_more_than_56_levels():
     """Each public distance question, asked at radii far past 56 of graphs
     whose diameter is past 56 too."""
