@@ -8,6 +8,8 @@ whose tree has maximum degree 2; every operation is shape-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import (
     EmptySetError,
@@ -179,7 +181,9 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
     power graph on s (pieces of pairwise distance <= d are power-graph
     cliques); the witness is the lexicographically smallest color-class
     partition under vertex id order. Heuristic mode colors first-fit in the
-    same order, so a True verdict carries the same witness.
+    same order, so a True verdict carries the same witness. A set whose
+    members lie pairwise within d is answered as one piece from the level
+    masks `g.balls(d)` when g fits d, before any power graph is built.
     """
     members = frozenset(s)
     if not members:
@@ -202,6 +206,13 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
         if len(vs) > k:
             return miss
         return CentredResult(True, tuple(frozenset([v]) for v in vs))
+
+    if g.fits(d):
+        # members pairwise within d are one piece: every member's ball
+        # holds them all
+        ball, target = g.balls(d), reduce(or_, (1 << v for v in vs))
+        if all(ball[u] & target == target for u in vs):
+            return CentredResult(True, (members,))
 
     pg = power_graph(g, d, vs)
     # members too far apart to share a piece: the earlier non-neighbours

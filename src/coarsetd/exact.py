@@ -33,9 +33,12 @@ def maximum_independent_set(g, cap=DEFAULT_CAP):
         return frozenset()
     adj = _adjacency_masks(g)
     n = g.n
-    best = [0, 0]  # size, mask
-
-    def search(mask, chosen, size):
+    best_size, best = 0, 0
+    # depth-first over an explicit stack, so depth is not bounded by the
+    # interpreter's recursion limit; the take-v branch is popped first
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        mask, chosen, size = stack.pop()
         # vertices with no neighbour left in mask always join the solution
         free = 0
         m = mask
@@ -49,12 +52,11 @@ def maximum_independent_set(g, cap=DEFAULT_CAP):
             size += free.bit_count()
             mask &= ~free
         if mask == 0:
-            if size > best[0]:
-                best[0] = size
-                best[1] = chosen
-            return
-        if size + mask.bit_count() <= best[0]:
-            return
+            if size > best_size:
+                best_size, best = size, chosen
+            continue
+        if size + mask.bit_count() <= best_size:
+            continue
         # branch on a vertex of maximum remaining degree (lowest id on ties)
         v = -1
         vdeg = -1
@@ -68,11 +70,9 @@ def maximum_independent_set(g, cap=DEFAULT_CAP):
                 vdeg = deg
                 v = i
         vbit = 1 << v
-        search(mask & ~(adj[v] | vbit), chosen | vbit, size + 1)
-        search(mask & ~vbit, chosen, size)
-
-    search((1 << n) - 1, 0, 0)
-    return frozenset(i + 1 for i in range(n) if best[1] >> i & 1)
+        stack.append((mask & ~vbit, chosen, size))
+        stack.append((mask & ~(adj[v] | vbit), chosen | vbit, size + 1))
+    return frozenset(i + 1 for i in range(n) if best >> i & 1)
 
 
 def exact_independence_number(g, cap=DEFAULT_CAP):
@@ -103,17 +103,18 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
                 pick = i
         greedy |= 1 << pick
         undom &= ~closed[pick]
-    best = [greedy.bit_count(), greedy]
-
-    def search(undominated, chosen, count):
+    best_count, best = greedy.bit_count(), greedy
+    # depth-first over an explicit stack, as in maximum_independent_set
+    stack = [(full, 0, 0)]
+    while stack:
+        undominated, chosen, count = stack.pop()
         if undominated == 0:
-            if count < best[0]:
-                best[0] = count
-                best[1] = chosen
-            return
+            if count < best_count:
+                best_count, best = count, chosen
+            continue
         need = -(-undominated.bit_count() // max_cover)  # ceil
-        if count + need >= best[0]:
-            return
+        if count + need >= best_count:
+            continue
         # dominate the undominated vertex with the fewest candidates
         v = -1
         vcands = n + 1
@@ -126,15 +127,14 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
             if c < vcands:
                 vcands = c
                 v = i
+        # push the candidates from the highest id down, so they pop in id order
         m = closed[v]
         while m:
-            bit = m & -m
+            u = m.bit_length() - 1
+            bit = 1 << u
             m ^= bit
-            u = bit.bit_length() - 1
-            search(undominated & ~closed[u], chosen | bit, count + 1)
-
-    search(full, 0, 0)
-    return frozenset(i + 1 for i in range(n) if best[1] >> i & 1)
+            stack.append((undominated & ~closed[u], chosen | bit, count + 1))
+    return frozenset(i + 1 for i in range(n) if best >> i & 1)
 
 
 def exact_domination_number(g, cap=DEFAULT_CAP):

@@ -218,6 +218,26 @@ def test_centred_check_builds_only_the_power_graph(monkeypatch):
         assert built == [6]
 
 
+def test_one_piece_builds_no_graph(monkeypatch):
+    # members pairwise within d are answered from the level masks
+    g = cycle_graph(9)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for mode in ("exact", "heuristic"):
+        result = centred_check(g, [8, 9, 1], 1, 2, mode=mode)
+        assert result.centred is True
+        assert result.parts == (frozenset({8, 9, 1}),)
+        # one far pair, 8 and 2, sends the set to the power graph
+        assert centred_check(g, [8, 9, 1, 2], 2, 2, mode=mode).centred
+    assert built == [4, 4]
+
+
 def test_centred_check_deeper_than_recursion_limit():
     # one piece: the search assigns 1200 vertices in turn, deeper than
     # the interpreter's default recursion limit

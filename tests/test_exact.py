@@ -23,6 +23,7 @@ from helpers import (
 from oracles import brute_alpha, brute_chromatic, brute_gamma, brute_treewidth
 
 import random
+import sys
 
 
 def test_chromatic_examples():
@@ -113,3 +114,14 @@ def test_exact_treewidth_single_vertex():
     assert tw == 0
     assert td.tree == Graph(1)
     assert td.bags == {1: frozenset({1})}
+
+
+def test_searches_deeper_than_recursion_limit():
+    # each search goes one level deeper per vertex here, past the
+    # interpreter's recursion limit
+    n = sys.getrecursionlimit() + 50
+    assert maximum_independent_set(complete_graph(n), cap=n) == frozenset({1})
+    # a star on 1..6 and isolated vertices: each isolated vertex is its own
+    # only candidate, so the search takes them one level at a time
+    g = Graph(n, [(1, v) for v in range(2, 7)])
+    assert minimum_dominating_set(g, cap=n) == frozenset({1, *range(7, n + 1)})

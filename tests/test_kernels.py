@@ -30,7 +30,7 @@ from coarsetd import (
 from coarsetd.generators import FAMILIES, gen_ktree, gen_path, gen_subdivided_ktree
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph
-from oracles import distance_rows, qi_constant_brute
+from oracles import centred_brute, distance_rows, qi_constant_brute
 
 PARAMS = {
     "path": st.fixed_dictionaries({"n": st.integers(1, 12)}),
@@ -137,6 +137,26 @@ def test_kernels_agree_on_local_questions(g, d, data):
         (u, v) for t in td.nodes for u in td.bag(t) for v in td.bag(t)
         if u < v and near(u, v)
     }
+
+
+@given(inputs(), st.integers(0, 6), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_piece_shortcut_matches_the_colouring(g, d, k, data):
+    """centred_check against the power-graph colouring (the shortcut is
+    skipped when g does not fit d) and, for small sets, the brute force."""
+    members = data.draw(
+        st.sets(st.sampled_from(list(g.vertices)), min_size=1, max_size=12)
+    )
+    for mode in ("exact", "heuristic"):
+        fast = centred_check(fresh(g), members, k, d, cap=64, mode=mode)
+        with patch.object(Graph, "fits", lambda self, r: False):
+            slow = centred_check(fresh(g), members, k, d, cap=64, mode=mode)
+        assert fast == slow
+    if len(members) <= 7:
+        want = centred_brute(g, members, k, d)
+        assert centred_check(g, members, k, d, cap=64).centred is want
+        heur = centred_check(g, members, k, d, mode="heuristic").centred
+        assert heur is None or heur is want is True
 
 
 @given(inputs(), inputs(), st.integers(1, 30), st.data())

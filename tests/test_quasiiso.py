@@ -276,6 +276,33 @@ def test_pullback_checks_inputs_once(monkeypatch):
     assert [x is h for x in checked].count(True) == 1
 
 
+@pytest.mark.parametrize("k, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_pulled_back_bags_build_no_power_graph(monkeypatch, k, s):
+    # shaped like the CLI pullback: a subdivided path-layout k-tree pulled
+    # back at c = s + 1 and checked (k+1, 3c^2)-centred; every bag is one
+    # piece, answered from the level masks
+    import coarsetd.decomposition
+    from coarsetd.generators import gen_subdivided_ktree
+
+    rng = random.Random(k * 10 + s)
+    inst = gen_subdivided_ktree(k, 300 // (1 + k * s), s, rng, "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    c = s + 1
+    out = pullback_decomposition(g, h, phi, inst.base_decomposition, c)
+    calls = []
+    power_graph = coarsetd.decomposition.power_graph
+
+    def counting(*args):
+        calls.append(args)
+        return power_graph(*args)
+
+    monkeypatch.setattr(coarsetd.decomposition, "power_graph", counting)
+    result = centred_check_decomposition(g, out, k + 1, 3 * c * c, cap=128)
+    assert result.all_centred is True
+    assert calls == []
+    assert all(r.parts == (out.bag(t),) for t, r in result.per_bag.items())
+
+
 def test_pullback_weak_constant_reported_before_invalid_host():
     g = cycle_graph(6)
     k1, phi = all_to_one(g)
