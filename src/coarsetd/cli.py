@@ -22,8 +22,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import CoarseTDError
-from .exact import DEFAULT_CAP, TREEWIDTH_CAP, exact_domination_number, exact_treewidth
-from .graph import induced_subgraph
+from .exact import DEFAULT_CAP, TREEWIDTH_CAP, bag_masks, dominating_mask, exact_treewidth
 from .pipeline import (
     Partition,
     augment,
@@ -109,7 +108,7 @@ def _load_map(report, path, g, h):
 def _bag_domination(g, td, cap):
     """The largest exact domination number of a bag of td."""
     per_bag = each_bag(
-        td, lambda bag: exact_domination_number(induced_subgraph(g, bag)[0], cap)
+        td, lambda bag: dominating_mask(bag_masks(g, bag, cap)).bit_count()
     )
     return max(per_bag.values(), default=0)
 

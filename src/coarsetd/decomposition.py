@@ -21,14 +21,14 @@ from .exact import (
     DEFAULT_CAP,
     _check_cap,
     _first_k_coloring,
-    exact_domination_number,
-    exact_independence_number,
+    bag_masks,
+    dominating_mask,
+    independent_mask,
 )
 from .graph import (
     Graph,
     bfs,
     check_vertices,
-    induced_subgraph,
     is_tree,
     power_graph,
 )
@@ -269,9 +269,9 @@ def bag_metrics(g, td, cap=DEFAULT_CAP):
     """
 
     def stat(bag):
-        sub, _ = induced_subgraph(g, bag)
-        alpha = exact_independence_number(sub, cap)
-        return BagStat(len(bag), alpha, exact_domination_number(sub, cap))
+        adj = bag_masks(g, bag, cap)
+        alpha = independent_mask(adj).bit_count()
+        return BagStat(len(bag), alpha, dominating_mask(adj).bit_count())
 
     solved = each_bag(td, stat)
     per_bag = {t: solved.get(t, BagStat(0, 0, 0)) for t in td.nodes}

@@ -3,11 +3,18 @@
 Each solver takes an explicit size cap and raises TooLargeError rather than
 silently degrading. Greedy bounds are separate functions; their results are
 upper bounds, never passed off as exact values.
+
+The branch-and-bound kernels `independent_mask` and `dominating_mask` run on
+adjacency bitmasks. `induced_masks` builds those straight from the host graph
+for any list of its vertices, so a bag or a cut is solved without building a
+Graph; `maximum_independent_set` and `minimum_dominating_set` wrap the
+kernels for a whole Graph.
 """
 
 from __future__ import annotations
 
 from .errors import EmptySetError, TooLargeError
+from .graph import check_vertices
 
 DEFAULT_CAP = 20
 TREEWIDTH_CAP = 16
@@ -18,77 +25,88 @@ def _check_cap(size, cap, what):
         raise TooLargeError(size, cap, what)
 
 
-def _adjacency_masks(g):
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return masks
+def induced_masks(g, vs):
+    """Adjacency masks of g[vs]: entry i has bit j set when vs[i] and vs[j]
+    are adjacent in g. No Graph is built."""
+    check_vertices(g, vs)
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    keys = bit.keys()
+    return [sum(map(bit.__getitem__, keys & g.adjacency[v])) for v in vs]
 
 
-def maximum_independent_set(g, cap=DEFAULT_CAP):
-    """A maximum independent set, found by branch and bound over bitmasks."""
-    _check_cap(g.n, cap, "graph")
-    if g.n == 0:
-        return frozenset()
-    adj = _adjacency_masks(g)
-    n = g.n
+def bag_masks(g, bag, cap):
+    """induced_masks of g[bag] in id order, once the bag passes the cap."""
+    _check_cap(len(bag), cap, "graph")
+    return induced_masks(g, sorted(bag))
+
+
+def _members(mask, vs):
+    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+
+
+def independent_mask(adj):
+    """A maximum independent set of the graph with adjacency masks `adj`
+    (vertices 0..len(adj)-1), as a bitmask, by branch and bound."""
     best_size, best = 0, 0
     # depth-first over an explicit stack, so depth is not bounded by the
     # interpreter's recursion limit; the take-v branch is popped first
-    stack = [((1 << n) - 1, 0, 0)]
+    stack = [((1 << len(adj)) - 1, 0, 0)]
     while stack:
         mask, chosen, size = stack.pop()
-        # vertices with no neighbour left in mask always join the solution
+        # one pass: vertices with no neighbour left in mask always join the
+        # solution (dropping them changes no other degree); branch on a vertex
+        # of maximum remaining degree, lowest id on ties
         free = 0
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            if adj[bit.bit_length() - 1] & mask == 0:
-                free |= bit
-        if free:
-            chosen |= free
-            size += free.bit_count()
-            mask &= ~free
-        if mask == 0:
-            if size > best_size:
-                best_size, best = size, chosen
-            continue
-        if size + mask.bit_count() <= best_size:
-            continue
-        # branch on a vertex of maximum remaining degree (lowest id on ties)
         v = -1
-        vdeg = -1
+        vdeg = 0
         m = mask
         while m:
             bit = m & -m
             m ^= bit
             i = bit.bit_length() - 1
             deg = (adj[i] & mask).bit_count()
-            if deg > vdeg:
+            if deg == 0:
+                free |= bit
+            elif deg > vdeg:
                 vdeg = deg
                 v = i
+        if free:
+            chosen |= free
+            size += free.bit_count()
+            mask ^= free
+        if mask == 0:
+            if size > best_size:
+                best_size, best = size, chosen
+            continue
+        if size + mask.bit_count() <= best_size:
+            continue
         vbit = 1 << v
         stack.append((mask & ~vbit, chosen, size))
         stack.append((mask & ~(adj[v] | vbit), chosen | vbit, size + 1))
-    return frozenset(i + 1 for i in range(n) if best >> i & 1)
+    return best
+
+
+def maximum_independent_set(g, cap=DEFAULT_CAP):
+    """A maximum independent set, found by branch and bound over bitmasks."""
+    _check_cap(g.n, cap, "graph")
+    return _members(independent_mask(induced_masks(g, g.vertices)), g.vertices)
 
 
 def exact_independence_number(g, cap=DEFAULT_CAP):
     return len(maximum_independent_set(g, cap))
 
 
-def minimum_dominating_set(g, cap=DEFAULT_CAP):
-    """A minimum dominating set, by exact branch and bound."""
-    if g.n == 0:
-        raise EmptySetError("domination of the empty graph is undefined")
-    _check_cap(g.n, cap, "graph")
-    adj = _adjacency_masks(g)
-    n = g.n
+def dominating_mask(adj):
+    """A minimum dominating set of the graph with adjacency masks `adj`
+    (vertices 0..len(adj)-1, at least one), as a bitmask, by branch and
+    bound."""
+    n = len(adj)
     closed = [adj[i] | (1 << i) for i in range(n)]
     full = (1 << n) - 1
     max_cover = max(c.bit_count() for c in closed)
+    # branch on the undominated vertex with the fewest candidates, lowest id
+    # on ties: the first undominated one in this fixed order
+    order = sorted(range(n), key=lambda i: (closed[i].bit_count(), i))
 
     # greedy upper bound: repeatedly take the vertex covering the most
     greedy = 0
@@ -104,7 +122,7 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
         greedy |= 1 << pick
         undom &= ~closed[pick]
     best_count, best = greedy.bit_count(), greedy
-    # depth-first over an explicit stack, as in maximum_independent_set
+    # depth-first over an explicit stack, as in independent_mask
     stack = [(full, 0, 0)]
     while stack:
         undominated, chosen, count = stack.pop()
@@ -115,18 +133,7 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
         need = -(-undominated.bit_count() // max_cover)  # ceil
         if count + need >= best_count:
             continue
-        # dominate the undominated vertex with the fewest candidates
-        v = -1
-        vcands = n + 1
-        m = undominated
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            c = closed[i].bit_count()
-            if c < vcands:
-                vcands = c
-                v = i
+        v = next(i for i in order if undominated >> i & 1)
         # push the candidates from the highest id down, so they pop in id order
         m = closed[v]
         while m:
@@ -134,7 +141,15 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
             bit = 1 << u
             m ^= bit
             stack.append((undominated & ~closed[u], chosen | bit, count + 1))
-    return frozenset(i + 1 for i in range(n) if best >> i & 1)
+    return best
+
+
+def minimum_dominating_set(g, cap=DEFAULT_CAP):
+    """A minimum dominating set, by exact branch and bound."""
+    if g.n == 0:
+        raise EmptySetError("domination of the empty graph is undefined")
+    _check_cap(g.n, cap, "graph")
+    return _members(dominating_mask(induced_masks(g, g.vertices)), g.vertices)
 
 
 def exact_domination_number(g, cap=DEFAULT_CAP):
@@ -242,7 +257,7 @@ def exact_treewidth(g, cap=TREEWIDTH_CAP):
         raise EmptySetError("treewidth of the empty graph is undefined")
     _check_cap(g.n, cap, "graph")
     n = g.n
-    adj = _adjacency_masks(g)
+    adj = induced_masks(g, g.vertices)
     size = 1 << n
     dp = [0] * size
     choice = [0] * size

@@ -38,7 +38,7 @@ from .errors import (
     InvalidPartitionError,
     PreconditionError,
 )
-from .exact import DEFAULT_CAP, _check_cap, exact_independence_number
+from .exact import DEFAULT_CAP, _check_cap, bag_masks, independent_mask
 from .graph import (
     Graph,
     bfs,
@@ -290,7 +290,7 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
     bags of at most 2k quotient vertices, i.e. width at most 2k-1.
     """
     per_bag = each_bag(
-        td, lambda bag: exact_independence_number(induced_subgraph(g, bag)[0], cap)
+        td, lambda bag: independent_mask(bag_masks(g, bag, cap)).bit_count()
     )
     alpha = max(per_bag.values(), default=0)
     if alpha > k:

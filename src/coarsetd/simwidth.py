@@ -6,6 +6,8 @@ end-to-end run through the width-reducing pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .decomposition import TreeDecomposition, each_bag
 from .errors import (
@@ -15,18 +17,11 @@ from .errors import (
 )
 from .exact import (
     DEFAULT_CAP,
-    exact_independence_number,
-    minimum_dominating_set,
+    bag_masks,
+    dominating_mask,
+    independent_mask,
 )
-from .graph import (
-    Graph,
-    _tree_paths,
-    bfs,
-    check_vertices,
-    induced_subgraph,
-    is_tree,
-    weak_diameter,
-)
+from .graph import _tree_paths, bfs, check_vertices, is_tree, weak_diameter
 from .pipeline import PipelineReport, run_pipeline
 
 SIMVAL_CAP = 32
@@ -98,7 +93,9 @@ def simval(g, a, cap=SIMVAL_CAP):
 
     The cut edges conflict when they share an endpoint or any graph edge
     joins their endpoints; an induced matching is an independent set in
-    that conflict graph, found exactly.
+    that conflict graph, found exactly. Cut edge i = (u, v) conflicts with
+    every cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict
+    mask is the OR of those vertices' masks over the cut indices.
     """
     inside = frozenset(a)
     check_vertices(g, inside)
@@ -111,21 +108,15 @@ def simval(g, a, cap=SIMVAL_CAP):
         raise TooLargeError(len(cut), cap, "cut")
     if not cut:
         return 0
+    at = {}
+    for i, edge in enumerate(cut):
+        for w in edge:
+            at[w] = at.get(w, 0) | 1 << i
     conflicts = []
-    for i, (a1, b1) in enumerate(cut):
-        for j in range(i + 1, len(cut)):
-            a2, b2 = cut[j]
-            if (
-                a1 == a2
-                or b1 == b2
-                or g.has_edge(a1, a2)
-                or g.has_edge(b1, b2)
-                or g.has_edge(a1, b2)
-                or g.has_edge(a2, b1)
-            ):
-                conflicts.append((i + 1, j + 1))
-    conflict_graph = Graph(len(cut), conflicts)
-    return exact_independence_number(conflict_graph, cap)
+    for i, (u, v) in enumerate(cut):
+        near = at.keys() & (g.adjacency[u] | g.adjacency[v])
+        conflicts.append(reduce(or_, map(at.get, near), at[u] | at[v]) & ~(1 << i))
+    return independent_mask(conflicts).bit_count()
 
 
 def branch_width_sim(g, bd, cap=SIMVAL_CAP):
@@ -198,18 +189,16 @@ def dominating_partition(g, s, cap=DEFAULT_CAP):
     members = frozenset(s)
     if not members:
         raise EmptySetError("cannot partition the empty set")
-    sub, vs = induced_subgraph(g, members)
-    dominators = sorted(vs[u - 1] for u in minimum_dominating_set(sub, cap))
-    local = {v: i + 1 for i, v in enumerate(vs)}
-    groups = {dom: [dom] for dom in dominators}
-    for v in sorted(members):
-        if v in groups:
-            continue
-        adjacent = [
-            dom for dom in dominators if local[dom] in sub.adjacency[local[v]]
-        ]
-        groups[adjacent[0]].append(v)
-    return tuple(frozenset(groups[dom]) for dom in dominators)
+    vs = sorted(members)
+    adj = bag_masks(g, vs, cap)
+    chosen = dominating_mask(adj)
+    groups = {vs[i]: [vs[i]] for i in range(len(vs)) if chosen >> i & 1}
+    for i, v in enumerate(vs):
+        if v not in groups:
+            # the lowest bit is the smallest-id adjacent dominator
+            adjacent = adj[i] & chosen
+            groups[vs[(adjacent & -adjacent).bit_length() - 1]].append(v)
+    return tuple(frozenset(group) for group in groups.values())
 
 
 @dataclass(frozen=True)

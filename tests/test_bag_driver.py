@@ -122,14 +122,18 @@ def test_empty_bags_pass_and_get_no_certificate():
 
 @pytest.fixture
 def mis_calls(monkeypatch):
+    """Sizes of the independent-set solves, through every module that binds
+    the kernel."""
     calls = []
-    mis = coarsetd.exact.maximum_independent_set
+    kernel = coarsetd.exact.independent_mask
 
-    def counting(g, cap=coarsetd.exact.DEFAULT_CAP):
-        calls.append(g.n)
-        return mis(g, cap)
+    def counting(adj):
+        calls.append(len(adj))
+        return kernel(adj)
 
-    monkeypatch.setattr(coarsetd.exact, "maximum_independent_set", counting)
+    for module in (coarsetd.exact, coarsetd.decomposition, coarsetd.pipeline,
+                   coarsetd.simwidth):
+        monkeypatch.setattr(module, "independent_mask", counting)
     return calls
 
 

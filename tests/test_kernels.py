@@ -1,6 +1,9 @@
-"""The two distance kernels: level masks where `Graph.fits` allows them,
-uncached BFS rows elsewhere. Every answer must be the same whichever kernel
-gives it, and the same as the oracle rows."""
+"""The kernels against their slow paths. The two distance kernels: level
+masks where `Graph.fits` allows them, uncached BFS rows elsewhere; every
+answer must be the same whichever kernel gives it, and the same as the
+oracle rows. The exact bitmask solvers on masks built straight from the
+host graph: the same witnesses as the Graph solvers on the induced
+subgraph, and the sizes of the brute-force oracles."""
 
 import random
 import sys
@@ -16,21 +19,41 @@ from coarsetd import (
     Graph,
     NotWithinError,
     Partition,
+    PreconditionError,
     QuasiIsometryMap,
     augment,
+    bag_metrics,
+    branch_width_sim,
     centred_check,
     decomposition_from_order,
+    dominating_mask,
+    dominating_partition,
     generate_corpus,
     identity_map,
+    ind_to_tw,
+    independent_mask,
+    induced_masks,
+    induced_subgraph,
+    maximum_independent_set,
+    minimum_dominating_set,
     power_graph,
     pullback_decomposition,
     qi_constant,
+    sim_to_td,
+    simval,
     weak_diameter,
 )
 from coarsetd.generators import FAMILIES, gen_ktree, gen_path, gen_subdivided_ktree
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph
-from oracles import centred_brute, distance_rows, qi_constant_brute
+from oracles import (
+    brute_alpha,
+    brute_gamma,
+    centred_brute,
+    distance_rows,
+    qi_constant_brute,
+    simval_brute,
+)
 
 PARAMS = {
     "path": st.fixed_dictionaries({"n": st.integers(1, 12)}),
@@ -316,3 +339,65 @@ def test_threads_extending_one_graphs_levels():
                 assert len(out) == 3 or out[0] == 1
     finally:
         sys.setswitchinterval(interval)
+
+
+def members(mask, vs):
+    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+
+
+@given(inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mask_solvers_match_the_graph_solvers(g, data):
+    """On any vertex list, singletons and all of V included, the kernels on
+    `induced_masks` give the witnesses of the Graph solvers on the induced
+    subgraph, and for up to 10 vertices the sizes of the oracles; simval
+    gives the brute-force value on cuts of up to 12 edges."""
+    everything = list(g.vertices)
+    vs = sorted(data.draw(st.one_of(
+        st.just(everything),
+        st.sets(st.sampled_from(everything), min_size=1, max_size=1),
+        st.sets(st.sampled_from(everything), min_size=1),
+    )))
+    adj = induced_masks(g, vs)
+    sub, _ = induced_subgraph(g, vs)
+    assert adj == [
+        sum(1 << (u - 1) for u in sub.adjacency[i + 1]) for i in range(len(vs))
+    ]
+    mis = members(independent_mask(adj), vs)
+    mds = members(dominating_mask(adj), vs)
+    assert mis == {vs[u - 1] for u in maximum_independent_set(sub, len(vs))}
+    assert mds == {vs[u - 1] for u in minimum_dominating_set(sub, len(vs))}
+    if len(vs) <= 10:
+        assert len(mis) == brute_alpha(sub)
+        assert len(mds) == brute_gamma(sub)
+    side = data.draw(st.sets(st.sampled_from(everything)))
+    cut = [e for e in g.edges if (e[0] in side) != (e[1] in side)]
+    if len(cut) <= 12:
+        assert simval(g, side, cap=12) == simval_brute(g, side)
+
+
+def test_bag_and_cut_solves_build_no_graph(monkeypatch):
+    """The cut values, the certificates, the bag metrics and ind_to_tw's
+    independence gate read masks straight from g."""
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    g, bd = inst.graph, inst.branch_decomposition
+    td = sim_to_td(g, bd)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert branch_width_sim(g, bd, cap=64) > 0
+    for t in td.nodes:
+        assert dominating_partition(g, td.bag(t), cap=64)
+    alpha = bag_metrics(g, td, cap=64).independence_number
+    assert alpha > 1
+    # the gate refuses before the partition is built
+    with pytest.raises(PreconditionError, match="bag independence"):
+        ind_to_tw(g, td, alpha - 1, cap=64)
+    assert built == []
