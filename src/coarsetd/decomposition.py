@@ -27,7 +27,6 @@ from .exact import (
 )
 from .graph import (
     Graph,
-    bfs,
     check_vertices,
     is_tree,
     power_graph,
@@ -88,7 +87,8 @@ def validate_decomposition(g, td):
     """Check the three decomposition conditions of td against g.
 
     Returns an ok report, or the first violation (edge coverage first, then
-    vertex traces) together with a witness.
+    vertex traces) together with a witness. A vertex's bags span a subtree
+    exactly when they hold one tree edge fewer than bags.
     """
     traces = {v: set() for v in g.vertices}
     for t, bag in td.bags.items():
@@ -104,9 +104,12 @@ def validate_decomposition(g, td):
     for v in g.vertices:
         if not traces[v]:
             return ValidationReport(False, "vertex_uncovered", v)
+    inner = dict.fromkeys(g.vertices, 0)
+    for a, b in td.tree.edges:
+        for v in td.bags[a] & td.bags[b]:
+            inner[v] += 1
     for v in g.vertices:
-        trace = traces[v]
-        if len(bfs(td.tree.adjacency, [next(iter(trace))], within=trace)) < len(trace):
+        if inner[v] != len(traces[v]) - 1:
             return ValidationReport(False, "trace_disconnected", v)
     return ValidationReport(True)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition
 from .errors import InvalidParamsError
-from .graph import Graph, _tree_paths
+from .graph import Graph
 from .quasiiso import QuasiIsometryMap
 from .simwidth import BranchDecomposition
 
@@ -94,10 +94,10 @@ def gen_random_tree(n, rng):
         last = [u for u in range(1, n + 1) if degree[u] == 1]
         edges.append((last[0], last[1]))
     g = Graph(n, edges)
-    # bag v = {v, parent(v)} on the tree itself, rooted at 1
-    parent, _ = _tree_paths(g)
+    # bag v = {v, parent(v)} on the tree itself, rooted at 1 by the sweep
+    depth = g._sweep()[0]
     bags = {
-        v: frozenset([v] if parent[v] is None else [v, parent[v]])
+        v: frozenset([v, *(u for u in g.adjacency[v] if depth[u] < depth[v])])
         for v in g.vertices
     }
     td = TreeDecomposition(g, bags)

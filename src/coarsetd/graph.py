@@ -116,15 +116,13 @@ class Graph:
         """Components as frozensets, ordered by smallest member; computed
         once and cached, returned as a fresh list. A connected graph caches
         only its count, 1, rather than a copy of its vertex set."""
-        if self._components is None:
-            self._sweep()
+        self._sweep()
         if self._components == 1:
             return [frozenset(self.vertices)]
         return list(self._components)
 
     def is_connected(self):
-        if self._components is None:
-            self.connected_components()
+        self._sweep()
         return self._components in (1, ())
 
     def __eq__(self, other):
@@ -184,14 +182,19 @@ def bfs(adj, sources, within=None, radius=inf):
     return depth
 
 
-def _tree_paths(tree):
-    """Parent/depth tables rooted at node 1, for path walks."""
-    depth = bfs(tree.adjacency, [1])
-    parent = {
-        t: next((s for s in tree.adjacency[t] if depth[s] < depth[t]), None)
-        for t in depth
-    }
-    return parent, depth
+def sweep_path(g, a, b):
+    """The path from a to b through the component sweep: the deeper end
+    (both, at equal depth) steps to its smallest neighbour one level up
+    until the ends meet. In a tree this is the tree path."""
+    depth, adj = g._sweep()[0], g.adjacency
+    up_a, up_b = [a], [b]
+    while up_a[-1] != up_b[-1]:
+        deepest = max(depth[up_a[-1]], depth[up_b[-1]])
+        for path in (up_a, up_b):
+            x = path[-1]
+            if depth[x] == deepest:
+                path.append(min(y for y in adj[x] if depth[y] == deepest - 1))
+    return up_a + up_b[-2::-1]
 
 
 def check_vertices(g, vs):
@@ -288,20 +291,11 @@ def is_bipartite(g):
     """Parity BFS. Returns (True, coloring) or (False, odd cycle).
 
     The coloring maps every vertex to 0/1; the odd cycle is a vertex list
-    whose consecutive members (and the closing pair) are adjacent.
+    whose consecutive members (and the closing pair) are adjacent: the
+    sweep path between the ends of an edge within one level.
     """
     depth = g._sweep()[0]
     for u, w in g.edges:
         if depth[u] == depth[w]:
-            return False, _odd_cycle(g, depth, u, w)
+            return False, sweep_path(g, u, w)
     return True, {v: depth[v] & 1 for v in g.vertices}
-
-
-def _odd_cycle(g, depth, u, w):
-    """Adjacent u, w at equal BFS depth: climb both to their common ancestor."""
-    up_u, up_w = [u], [w]
-    while up_u[-1] != up_w[-1]:
-        for path in (up_u, up_w):
-            x = path[-1]
-            path.append(min(y for y in g.adjacency[x] if depth[y] == depth[x] - 1))
-    return up_u + up_w[-2::-1]

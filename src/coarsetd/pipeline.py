@@ -287,12 +287,16 @@ def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
 
     Precondition: td is a valid decomposition of g (not rechecked here).
     Requires bag independence at most k; the pushed decomposition then has
-    bags of at most 2k quotient vertices, i.e. width at most 2k-1.
+    bags of at most 2k quotient vertices, i.e. width at most 2k-1. Only
+    bags of more than k vertices are solved and held to the cap.
     """
-    per_bag = each_bag(
-        td, lambda bag: independent_mask(bag_masks(g, bag, cap)).bit_count()
-    )
-    alpha = max(per_bag.values(), default=0)
+
+    def independence(bag):
+        if len(bag) <= k:
+            return 0
+        return independent_mask(bag_masks(g, bag, cap)).bit_count()
+
+    alpha = max(each_bag(td, independence).values(), default=0)
     if alpha > k:
         raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
     bp = bipartite_partition(g, budget=budget)

@@ -21,7 +21,7 @@ from .exact import (
     dominating_mask,
     independent_mask,
 )
-from .graph import _tree_paths, bfs, check_vertices, is_tree, weak_diameter
+from .graph import bfs, check_vertices, is_tree, sweep_path, weak_diameter
 from .pipeline import PipelineReport, run_pipeline
 
 SIMVAL_CAP = 32
@@ -46,10 +46,8 @@ class BranchDecomposition:
         if any(tree.degree(t) > 3 for t in tree.vertices):
             raise MalformedDecompositionError("branch tree has a node of degree > 3")
         n = len(leaf_map)
-        if tree.n == 1:
-            leaves = {1}
-        else:
-            leaves = {t for t in tree.vertices if tree.degree(t) == 1}
+        # a one-node tree's node is its leaf
+        leaves = {t for t in tree.vertices if tree.degree(t) <= 1}
         if n >= 3:
             bad = [
                 t
@@ -89,14 +87,7 @@ class BranchDecomposition:
 
 
 def simval(g, a, cap=SIMVAL_CAP):
-    """Maximum induced matching with one endpoint inside `a` and one outside.
-
-    The cut edges conflict when they share an endpoint or any graph edge
-    joins their endpoints; an induced matching is an independent set in
-    that conflict graph, found exactly. Cut edge i = (u, v) conflicts with
-    every cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict
-    mask is the OR of those vertices' masks over the cut indices.
-    """
+    """Maximum induced matching with one endpoint inside `a` and one outside."""
     inside = frozenset(a)
     check_vertices(g, inside)
     cut = sorted(
@@ -104,8 +95,20 @@ def simval(g, a, cap=SIMVAL_CAP):
         for u, v in g.edges
         if (u in inside) != (v in inside)
     )
-    if len(cut) > cap:
-        raise TooLargeError(len(cut), cap, "cut")
+    return _cut_value(g, cut, len(cut), cap)
+
+
+def _cut_value(g, cut, size, cap):
+    """simval of a cut of `size` edges, listed in `cut` when size <= cap.
+
+    The cut edges conflict when they share an endpoint or any graph edge
+    joins their endpoints; an induced matching is an independent set in
+    that conflict graph, found exactly. Cut edge i = (u, v) conflicts with
+    every cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict
+    mask is the OR of those vertices' masks over the cut indices.
+    """
+    if size > cap:
+        raise TooLargeError(size, cap, "cut")
     if not cut:
         return 0
     at = {}
@@ -120,34 +123,29 @@ def simval(g, a, cap=SIMVAL_CAP):
 
 
 def branch_width_sim(g, bd, cap=SIMVAL_CAP):
-    """Maximum cut value over the tree edges of the branch decomposition."""
+    """Maximum cut value over the tree edges of the branch decomposition.
+
+    A graph edge is in the cut of each tree edge on its leaf-to-leaf path.
+    Each cut keeps its size and at most cap of its edges; the cuts are
+    valued in sorted tree-edge order, so the first over the cap raises.
+    """
     if bd.n != g.n:
         raise MalformedDecompositionError(
             f"branch decomposition covers {bd.n} vertices, graph has {g.n}"
         )
-    best = 0
-    for edge in sorted(bd.tree.edges):
-        value = simval(g, bd.side(edge), cap)
-        if value > best:
-            best = value
-    return best
-
-
-def _path_nodes(parent, depth, a, b):
-    nodes_a = []
-    nodes_b = []
-    while depth[a] > depth[b]:
-        nodes_a.append(a)
-        a = parent[a]
-    while depth[b] > depth[a]:
-        nodes_b.append(b)
-        b = parent[b]
-    while a != b:
-        nodes_a.append(a)
-        nodes_b.append(b)
-        a = parent[a]
-        b = parent[b]
-    return nodes_a + [a] + list(reversed(nodes_b))
+    tree_edges = sorted(bd.tree.edges)
+    cuts = {e: [] for e in tree_edges}
+    sizes = dict.fromkeys(tree_edges, 0)
+    for u, v in sorted(g.edges):
+        path = sweep_path(bd.tree, bd.leaf_map[u], bd.leaf_map[v])
+        for x, y in zip(path, path[1:]):
+            e = (x, y) if x < y else (y, x)
+            sizes[e] += 1
+            if sizes[e] <= cap:
+                cuts[e].append((u, v))
+    return max(
+        (_cut_value(g, cuts[e], sizes[e], cap) for e in tree_edges), default=0
+    )
 
 
 def sim_to_td(g, bd):
@@ -168,11 +166,9 @@ def sim_to_td(g, bd):
     bags = {t: set() for t in bd.tree.vertices}
     for v in g.vertices:
         bags[bd.leaf_map[v]].add(v)
-    parent, depth = _tree_paths(bd.tree)
     for u, v in sorted(g.edges):
-        for t in _path_nodes(parent, depth, bd.leaf_map[u], bd.leaf_map[v]):
-            bags[t].add(u)
-            bags[t].add(v)
+        for t in sweep_path(bd.tree, bd.leaf_map[u], bd.leaf_map[v]):
+            bags[t].update((u, v))
     return TreeDecomposition(
         bd.tree, {t: frozenset(bag) for t, bag in bags.items()}
     )

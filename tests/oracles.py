@@ -142,3 +142,28 @@ def simval_brute(g, a):
         if len(chosen) > best and is_induced_matching(g, chosen):
             best = len(chosen)
     return best
+
+
+def validation_by_search(g, td):
+    """(ok, kind, witness) of the three decomposition conditions, in the
+    validator's order; each vertex trace is checked by a search of the tree
+    restricted to that trace."""
+    traces = {v: {t for t, bag in td.bags.items() if v in bag} for v in g.vertices}
+    for u, v in sorted(g.edges):
+        if not traces[u] & traces[v]:
+            return False, "edge_uncovered", (u, v)
+    for v in g.vertices:
+        if not traces[v]:
+            return False, "vertex_uncovered", v
+    for v in g.vertices:
+        trace = traces[v]
+        start = min(trace)
+        seen, stack = {start}, [start]
+        while stack:
+            for t in td.tree.adjacency[stack.pop()]:
+                if t in trace and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if seen != trace:
+            return False, "trace_disconnected", v
+    return True, None, None

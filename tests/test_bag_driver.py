@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import coarsetd.exact
+import coarsetd.pipeline
 from coarsetd import (
     BagStat,
     BranchDecomposition,
@@ -13,7 +14,9 @@ from coarsetd import (
     TreeDecomposition,
     bag_metrics,
     centred_check_decomposition,
+    generate_corpus,
     ind_to_tw,
+    sim_to_td,
     simwidth_pipeline,
 )
 from coarsetd.cli import main
@@ -76,6 +79,33 @@ def test_bag_over_cap_is_named(call):
         call(path_graph(3))
     assert str(err.value) == "bag 2 has size 3, exceeding the exact-solver cap 2"
     assert isinstance(err.value.__cause__, TooLargeError)
+
+
+def test_independence_gate_solves_only_bags_over_k(monkeypatch):
+    """A bag of at most k vertices cannot hold k + 1 independent ones, so
+    ind_to_tw neither solves it nor holds it to the cap."""
+    sizes = []
+    solve = coarsetd.pipeline.independent_mask
+
+    def counting(adj):
+        sizes.append(len(adj))
+        return solve(adj)
+
+    monkeypatch.setattr(coarsetd.pipeline, "independent_mask", counting)
+    # bag 2 has cap + 1 = 3 <= k vertices: it passes
+    assert ind_to_tw(path_graph(3), p3_wide_td(), 3, cap=2).decomposition
+    assert sizes == []
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    g = inst.graph
+    td = sim_to_td(g, inst.branch_decomposition)
+    k = bag_metrics(g, td, cap=64).independence_number
+    sizes.clear()
+    ind_to_tw(g, td, k, cap=64)
+    bags = [len(td.bag(t)) for t in td.nodes]
+    assert sizes == [size for size in bags if size > k]
+    assert 0 < len(sizes) < len(bags)
 
 
 def write_inputs(tmp_path, g, td=None, bd=None):

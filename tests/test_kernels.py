@@ -3,7 +3,9 @@ masks where `Graph.fits` allows them, uncached BFS rows elsewhere; every
 answer must be the same whichever kernel gives it, and the same as the
 oracle rows. The exact bitmask solvers on masks built straight from the
 host graph: the same witnesses as the Graph solvers on the induced
-subgraph, and the sizes of the brute-force oracles."""
+subgraph, and the sizes of the brute-force oracles. The tree questions on
+the component sweep: paths, branch widths and validation against a BFS
+parent table, the cut of each tree edge's side and a per-trace search."""
 
 import random
 import sys
@@ -21,6 +23,8 @@ from coarsetd import (
     Partition,
     PreconditionError,
     QuasiIsometryMap,
+    TooLargeError,
+    TreeDecomposition,
     augment,
     bag_metrics,
     branch_width_sim,
@@ -41,9 +45,17 @@ from coarsetd import (
     qi_constant,
     sim_to_td,
     simval,
+    validate_decomposition,
     weak_diameter,
 )
-from coarsetd.generators import FAMILIES, gen_ktree, gen_path, gen_subdivided_ktree
+from coarsetd.generators import (
+    FAMILIES,
+    gen_ktree,
+    gen_path,
+    gen_random_tree,
+    gen_subdivided_ktree,
+)
+from coarsetd.graph import sweep_path
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph
 from oracles import (
@@ -53,6 +65,7 @@ from oracles import (
     distance_rows,
     qi_constant_brute,
     simval_brute,
+    validation_by_search,
 )
 
 PARAMS = {
@@ -401,3 +414,107 @@ def test_bag_and_cut_solves_build_no_graph(monkeypatch):
     with pytest.raises(PreconditionError, match="bag independence"):
         ind_to_tw(g, td, alpha - 1, cap=64)
     assert built == []
+
+
+@given(st.integers(1, 40), st.integers(0, 999), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sweep_path_is_the_tree_path(n, seed, data):
+    """Between any two nodes of a random tree, sweep_path gives the walk up
+    a BFS parent table rooted at node 1 to the meeting node and down."""
+    tree = gen_random_tree(n, random.Random(seed)).graph
+    a, b = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    parent, order = {1: None}, [1]
+    for x in order:
+        for y in tree.adjacency[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+
+    def to_root(x):
+        path = []
+        while x is not None:
+            path.append(x)
+            x = parent[x]
+        return path
+
+    up_a, up_b = to_root(a), to_root(b)
+    while len(up_a) > 1 and len(up_b) > 1 and up_a[-2] == up_b[-2]:
+        up_a.pop()
+        up_b.pop()
+    assert sweep_path(fresh(tree), a, b) == up_a + up_b[-2::-1]
+
+
+@st.composite
+def decompositions(draw):
+    """A family graph with its own decomposition, some bag memberships
+    toggled; or any graph with random bags on a random tree. Mostly
+    invalid, in each of the three ways."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["path", "cycle", "random-tree", "k-tree", "grid-slice"]))
+        inst = generate_corpus(family, draw(PARAMS[family]), seed=draw(st.integers(0, 999)))
+        g, tree, bags = inst.graph, inst.decomposition.tree, dict(inst.decomposition.bags)
+        for _ in range(draw(st.integers(0, 3))):
+            t = draw(st.sampled_from(list(tree.vertices)))
+            bags[t] = bags[t] ^ {draw(st.sampled_from(list(g.vertices)))}
+    else:
+        g = draw(inputs())
+        tree = gen_random_tree(draw(st.integers(1, 10)), random.Random(draw(st.integers(0, 999)))).graph
+        bags = {t: draw(st.sets(st.sampled_from(list(g.vertices)))) for t in tree.vertices}
+    return g, TreeDecomposition(tree, bags)
+
+
+@given(decompositions())
+@settings(max_examples=300, deadline=None)
+def test_validation_counts_as_the_trace_search_finds(case):
+    g, td = case
+    report = validate_decomposition(g, td)
+    assert (report.ok, report.kind, report.witness) == validation_by_search(g, td)
+
+
+@given(
+    st.integers(1, 12),
+    st.sampled_from([0.1, 0.2, 0.35, 0.5]),
+    st.integers(0, 999),
+    st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_branch_width_is_the_widest_side_cut(n, p, seed, cap):
+    """The cuts collected along leaf-to-leaf paths value as the sides do,
+    and the first side over the cap raises the same error."""
+    inst = generate_corpus("random-branch-decomposition", {"n": n, "p": p}, seed=seed)
+    g, bd = inst.graph, inst.branch_decomposition
+
+    def outcome(call):
+        try:
+            return call()
+        except TooLargeError as exc:
+            return str(exc)
+
+    assert outcome(lambda: branch_width_sim(g, bd, cap)) == outcome(lambda: max(
+        (simval(g, bd.side(e), cap) for e in sorted(bd.tree.edges)), default=0
+    ))
+
+
+def test_tree_questions_run_no_bfs(monkeypatch):
+    """On a built branch decomposition, its conversion, the validation of
+    the result and the branch width read the tree's cached sweep."""
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    g, bd = inst.graph, inst.branch_decomposition
+    calls = []
+    bfs = sys.modules["coarsetd.graph"].bfs
+
+    def counting_bfs(*args, **kwargs):
+        calls.append(args)
+        return bfs(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coarsetd") and getattr(module, "bfs", None) is bfs:
+            monkeypatch.setattr(module, "bfs", counting_bfs)
+    td = sim_to_td(g, bd)
+    assert validate_decomposition(g, td).ok
+    assert branch_width_sim(g, bd, cap=64) > 0
+    assert calls == []
+    bd.side(min(bd.tree.edges))  # the wrapper sees the reference's search
+    assert len(calls) == 1

@@ -264,13 +264,13 @@ def test_pullback_checks_inputs_once(monkeypatch):
     inst = gen_subdivided_ktree(1, 6, 2, random.Random(2))
     g, h, phi = inst.graph, inst.base_graph, inst.qi_map
     checked = []
-    components = Graph.connected_components
+    is_connected = Graph.is_connected
 
     def counting(self):
         checked.append(self)
-        return components(self)
+        return is_connected(self)
 
-    monkeypatch.setattr(Graph, "connected_components", counting)
+    monkeypatch.setattr(Graph, "is_connected", counting)
     pullback_decomposition(g, h, phi, inst.base_decomposition, 3)
     assert [x is g for x in checked].count(True) == 1
     assert [x is h for x in checked].count(True) == 1
