@@ -2,9 +2,9 @@
 
 Vertices are the integers 1..n. Graphs are immutable once built, so shared
 instances are safe to read concurrently and every operation here is a pure
-function of its arguments. Connected components, BFS depths and level masks
-are computed lazily and cached on the instance; no whole-graph distance
-table is ever kept.
+function of its arguments. Connected components, BFS depths, level masks
+and neighbour tuples are computed lazily and cached on the instance; no
+distance row, and so no whole-graph distance table, is ever kept.
 
 Level masks (`Graph.balls`) are bitsets of the vertices within distance r
 of each vertex, built one radius at a time by OR-ing neighbours' masks.
@@ -14,12 +14,13 @@ the masks for radius r take at most min(r, 2e) + 1 levels. One rule,
 `g.fits(r)`, caps them at 56 levels: n masks of up to n + 1 bits each, so
 56 levels stay within the 8 bytes per pair of an n x n table. A distance
 question at radius r reads the masks when g fits r, and otherwise one
-uncached BFS row (`single_source_distances`) per member.
+uncached BFS row (`single_source_distances`) per member. Rows walk a list
+of neighbour tuples, built by the first row and published whole like a
+mask level, and read their own visit list as the queue.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from math import inf
 from operator import or_
@@ -32,7 +33,9 @@ MASK_LEVELS = 56  # the most level masks a graph holds; see the docstring
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
-    __slots__ = ("n", "edges", "adjacency", "_components", "_depth", "_masks")
+    __slots__ = (
+        "n", "edges", "adjacency", "_components", "_depth", "_masks", "_nbrs"
+    )
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -54,6 +57,7 @@ class Graph:
         self._components = None
         self._depth = None
         self._masks = None
+        self._nbrs = None
 
     @property
     def vertices(self):
@@ -139,16 +143,19 @@ class Graph:
 
 def single_source_distances(g, source):
     """BFS distances from one vertex, None where there is no path; index 0
-    is unused."""
+    is unused. The row is not cached; the neighbour tuples it walks are,
+    built by g's first row and published as one list."""
+    nbrs = g._nbrs
+    if nbrs is None:
+        nbrs = g._nbrs = [()] + [tuple(g.adjacency[v]) for v in g.vertices]
     dist = [None] * (g.n + 1)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
+    queue = [source]
+    for u in queue:  # the visit list is the queue
+        du = dist[u] + 1
+        for w in nbrs[u]:
             if dist[w] is None:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 
@@ -169,9 +176,8 @@ def bfs(adj, sources, within=None, radius=inf):
     no vertex deeper than `radius` is entered.
     """
     depth = dict.fromkeys(sources, 0)
-    queue = deque(depth)
-    while queue:
-        u = queue.popleft()
+    queue = list(depth)
+    for u in queue:
         du = depth[u] + 1
         if du > radius:
             break

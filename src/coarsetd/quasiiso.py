@@ -16,8 +16,10 @@ the smallest and largest distance b in H among pairs at distance a. The
 upper inequality binds at the largest b and the lower one at the
 smallest, so the profile forces the same q as the full pair set.
 Otherwise the pairs are streamed from BFS rows: one row of H per image
-vertex, then one row of G per member of that vertex's fibre, each folded
-into the set of distinct pairs and dropped, so no distance table is held.
+vertex, read once through the map into the list of image distances of
+every G-vertex, then one row of G per member of that vertex's fibre,
+zipped with that list into the set of distinct pairs and dropped, so no
+distance table is held.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ def qi_constant(g, h, phi, qmax):
             fibres.setdefault(img[v], []).append(v)
         pairs = set()
         for x, fibre in fibres.items():
-            row_h = single_source_distances(h, x)
+            # b_of[v] = dist_H(x, phi(v)): the b of every pair (u, v), u in the fibre
+            b_of = list(map(single_source_distances(h, x).__getitem__, img))
             for u in fibre:
                 row_g = single_source_distances(g, u)
-                pairs.update(zip(row_g[u + 1:], map(row_h.__getitem__, img[u + 1:])))
+                pairs.update(zip(row_g[u + 1:], b_of[u + 1:]))
         # h is connected, so the sweep from the image reaches every vertex
         cover = max(bfs(h.adjacency, phi.image()).values())
     q = max(1, cover)

@@ -7,7 +7,6 @@ exhaustive enumeration, and stays independent of the code paths it checks.
 from itertools import combinations, permutations, product
 
 from coarsetd import weak_diameter
-from coarsetd.graph import single_source_distances
 
 
 def brute_alpha(g):
@@ -63,9 +62,25 @@ def brute_treewidth(g):
 
 
 def distance_rows(g):
-    """All-pairs hop distances as rows, dm[u][v], one BFS per vertex; row 0
-    and index 0 of each row are unused, and None marks "no path"."""
-    return [None] + [single_source_distances(g, v) for v in g.vertices]
+    """All-pairs hop distances as rows, dm[u][v], straight from the edge
+    set: each row starts at 0 on its own vertex and relaxes every edge,
+    both ways, until no entry changes. Row 0 and index 0 of each row are
+    unused, and None marks "no path"."""
+    arcs = sorted(g.edges)
+    arcs += [(v, u) for u, v in reversed(arcs)]
+    dm = [None]
+    for source in g.vertices:
+        row = [None] * (g.n + 1)
+        row[source] = 0
+        changed = True
+        while changed:
+            changed = False
+            for u, v in arcs:
+                if row[u] is not None and (row[v] is None or row[u] + 1 < row[v]):
+                    row[v] = row[u] + 1
+                    changed = True
+        dm.append(row)
+    return dm
 
 
 def qi_constant_brute(g, h, mapping, qmax):

@@ -1,11 +1,12 @@
 """The kernels against their slow paths. The two distance kernels: level
 masks where `Graph.fits` allows them, uncached BFS rows elsewhere; every
 answer must be the same whichever kernel gives it, and the same as the
-oracle rows. The exact bitmask solvers on masks built straight from the
-host graph: the same witnesses as the Graph solvers on the induced
-subgraph, and the sizes of the brute-force oracles. The tree questions on
-the component sweep: paths, branch widths and validation against a BFS
-parent table, the cut of each tree edge's side and a per-trace search."""
+oracle rows, which relax the edge set and share no code with either. The
+exact bitmask solvers on masks built straight from the host graph: the
+same witnesses as the Graph solvers on the induced subgraph, and the
+sizes of the brute-force oracles. The tree questions on the component
+sweep: paths, branch widths and validation against a BFS parent table,
+the cut of each tree edge's side and a per-trace search."""
 
 import random
 import sys
@@ -55,7 +56,7 @@ from coarsetd.generators import (
     gen_random_tree,
     gen_subdivided_ktree,
 )
-from coarsetd.graph import sweep_path
+from coarsetd.graph import single_source_distances, sweep_path
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph
 from oracles import (
@@ -235,6 +236,55 @@ def test_kernels_agree_on_qi_constant(g, h, qmax, data):
             assert got[0] == want
 
 
+@st.composite
+def with_isolated(draw):
+    """An input plus up to three isolated vertices, all ids shuffled."""
+    g = draw(inputs())
+    n = g.n + draw(st.integers(0, 3))
+    ids = draw(st.permutations(list(range(1, n + 1))))
+    return Graph(n, [(ids[u - 1], ids[v - 1]) for u, v in g.edges])
+
+
+@given(with_isolated())
+@settings(max_examples=150, deadline=None)
+def test_rows_are_the_oracle_rows(g):
+    """The row from every vertex, on a fresh graph and on one whose sweep
+    and masks are cached; the neighbour tuples are built by the first row
+    and kept, and equality and hash stay those of the edge set."""
+    want = distance_rows(g)
+    for warm in (False, True):
+        x = fresh(g)
+        if warm:
+            x.connected_components()
+            x.balls(min(x.n, 55))
+        assert x._nbrs is None
+        assert [single_source_distances(x, u) for u in x.vertices] == want[1:]
+        nbrs = x._nbrs
+        assert single_source_distances(x, x.n) == want[x.n]
+        assert x._nbrs is nbrs
+        assert x == g and hash(x) == hash(g)
+
+
+@pytest.mark.parametrize("k, n, s", [(1, 30, 1), (1, 30, 2), (2, 40, 1), (2, 30, 2)])
+def test_streamed_qi_constant_on_long_subdivided_ktrees(k, n, s):
+    """The pullback's shape: a path-layout subdivided k-tree does not fit
+    every radius, so its constant is streamed from rows, and it is the
+    oracle's below, at and above the measured q."""
+    for seed in range(2):
+        inst = gen_subdivided_ktree(k, n, s, random.Random(seed), "path")
+        g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+        assert not g.fits(inf)
+        q = qi_constant(g, h, phi, g.n)
+        for qmax in (q - 1, q, q + 1):
+            want = qi_constant_brute(g, h, phi.mapping, qmax)
+            if want is None:
+                assert qmax < q
+                with pytest.raises(NotWithinError):
+                    qi_constant(fresh(g), fresh(h), phi, qmax)
+            else:
+                assert qi_constant(fresh(g), fresh(h), phi, qmax) == want == q
+
+
 def spider(e, n):
     """Two legs of length e from vertex 1, the other vertices leaves of 1:
     the root's depth is e and the diameter 2e, the most levels e allows."""
@@ -350,6 +400,34 @@ def test_threads_extending_one_graphs_levels():
             for out in got:
                 assert out[-3:] == [want, diam, 1]
                 assert len(out) == 3 or out[0] == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_building_one_graphs_rows():
+    """Threads that build the same long graph's first rows at once must
+    each walk whole neighbour tuples: every row is the oracle's."""
+    base = gen_subdivided_ktree(2, 30, 2, random.Random(2), "path").graph
+    assert not base.fits(inf)
+    dm = distance_rows(base)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g = fresh(base)
+            got = []
+
+            def work(start):
+                rows = range(start, g.n + 1, 4)
+                got.append(all(single_source_distances(g, v) == dm[v] for v in rows))
+
+            threads = [threading.Thread(target=work, args=(i + 1,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [True] * 4
     finally:
         sys.setswitchinterval(interval)
 
