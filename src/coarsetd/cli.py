@@ -34,8 +34,7 @@ from .quasiiso import QuasiIsometryMap, compose, measure, qi_constant
 from .report import Report, digest
 from .simwidth import (
     SIMVAL_CAP,
-    branch_width_sim,
-    sim_to_td,
+    _width_and_td,
     simval,
     simwidth_pipeline,
     six_k,
@@ -453,8 +452,7 @@ def sim_to_td_cmd(ctx, graph_path, bd_path, out_path):
     report = Report("sim-to-td")
     g = _load(report, graph_path, fileio.parse_graph)
     bd = _load(report, bd_path, fileio.parse_bd)
-    k = branch_width_sim(g, bd, cap=ctx.obj.cap(SIMVAL_CAP))
-    td = sim_to_td(g, bd)
+    k, td = _width_and_td(g, bd, ctx.obj.cap(SIMVAL_CAP))
     gamma = _bag_domination(g, td, ctx.obj.cap())
     valid = validate_decomposition(g, td)
     report.measured["branch_width"] = k

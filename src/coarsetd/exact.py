@@ -172,10 +172,6 @@ def _first_k_coloring(earlier, k, backtrack=True):
     may not share a color with (earlier[0] is unused). Without `backtrack`
     it is first-fit coloring: None at the first vertex with no free color."""
     n = len(earlier) - 1
-    if n == 0:
-        return []
-    if k <= 0:
-        return None
     colors = [-1] * (n + 1)
     # iterative depth-first search; used[v] counts the colors taken before v
     used = [0] * (n + 2)
@@ -202,8 +198,6 @@ def _first_k_coloring(earlier, k, backtrack=True):
 
 def greedy_clique(g):
     """A maximal clique found greedily; its size is a chromatic lower bound."""
-    if g.n == 0:
-        return frozenset()
     start = max(g.vertices, key=lambda v: (g.degree(v), -v))
     clique = {start}
     candidates = set(g.adjacency[start])

@@ -8,9 +8,11 @@ value exactly.
 
   .gr   PACE-style graph: "p tw <n> <m>" then m lines "<u> <v>".
   .td   PACE-style decomposition: "s td <bags> <max_bag_size> <n>",
-        bag lines "b <id> <v1> ...", then bags-1 tree edges "<i> <j>".
+        bag lines "b <id> <v1> ...", then bags-1 tree edges "<i> <j>";
+        a header declaring more bags than the file has lines fails.
   .bd   branch decomposition: "s bd <tree_nodes> <n>", tree edges
-        "e <i> <j>", then n leaf lines "l <node> <vertex>".
+        "e <i> <j>", then n leaf lines "l <node> <vertex>"; a header
+        declaring more tree nodes than the file has lines, plus 1, fails.
   .map  one "<source_vertex> <target_vertex>" line per source vertex,
         strictly increasing in the source vertex.
   .part first line the part count, then one line of vertex ids per part.
@@ -111,6 +113,8 @@ def parse_td(text, shape="tree"):
                 raise ParseError(lineno, "need at least one bag")
             if header[1] < 0 or header[2] < 0:
                 raise ParseError(lineno, "counts must be non-negative")
+            if header[0] > (lines := len(text.splitlines())):
+                raise ParseError(lineno, f"{header[0]} bags cannot fit in {lines} lines")
         elif parts[0] == "b":
             if header is None:
                 raise ParseError(lineno, "bag line before the header")
@@ -181,6 +185,8 @@ def parse_bd(text):
             )
             if header[0] < 1 or header[1] < 0:
                 raise ParseError(lineno, "bad counts in header")
+            if header[0] > (lines := len(text.splitlines())) + 1:
+                raise ParseError(lineno, f"{header[0]} nodes cannot fit in {lines} lines")
         elif parts[0] == "e":
             if header is None:
                 raise ParseError(lineno, "tree edge before the header")

@@ -1,7 +1,7 @@
 """Sim-width machinery: branch decompositions, the induced-matching cut
-value, conversion to a domination-bounded tree decomposition, and the
-end-to-end run through the width-reducing pipeline.
-"""
+value, conversion to a domination-bounded tree decomposition (one walk of
+the leaf-to-leaf paths reads both the cuts and the bags), and the
+end-to-end run through the width-reducing pipeline."""
 
 from __future__ import annotations
 
@@ -122,30 +122,43 @@ def _cut_value(g, cut, size, cap):
     return independent_mask(conflicts).bit_count()
 
 
-def branch_width_sim(g, bd, cap=SIMVAL_CAP):
-    """Maximum cut value over the tree edges of the branch decomposition.
-
-    A graph edge is in the cut of each tree edge on its leaf-to-leaf path.
-    Each cut keeps its size and at most cap of its edges; the cuts are
-    valued in sorted tree-edge order, so the first over the cap raises.
-    """
+def _walk(g, bd, cap):
+    """One pass over the leaf-to-leaf paths of the graph edges: an edge's
+    ends join the bag of every node on its path, and the edge joins the cut
+    of every tree edge on it. Returns the tree decomposition and the cuts in
+    sorted tree-edge order, each as at most cap of its edges and its size."""
     if bd.n != g.n:
         raise MalformedDecompositionError(
             f"branch decomposition covers {bd.n} vertices, graph has {g.n}"
         )
-    tree_edges = sorted(bd.tree.edges)
-    cuts = {e: [] for e in tree_edges}
-    sizes = dict.fromkeys(tree_edges, 0)
+    bags = {t: set() for t in bd.tree.vertices}
+    for v in g.vertices:
+        bags[bd.leaf_map[v]].add(v)
+    cuts = {e: [] for e in sorted(bd.tree.edges)}
+    sizes = dict.fromkeys(cuts, 0)
     for u, v in sorted(g.edges):
         path = sweep_path(bd.tree, bd.leaf_map[u], bd.leaf_map[v])
+        for t in path:
+            bags[t].update((u, v))
         for x, y in zip(path, path[1:]):
             e = (x, y) if x < y else (y, x)
             sizes[e] += 1
             if sizes[e] <= cap:
                 cuts[e].append((u, v))
-    return max(
-        (_cut_value(g, cuts[e], sizes[e], cap) for e in tree_edges), default=0
-    )
+    return TreeDecomposition(bd.tree, bags), [(cuts[e], sizes[e]) for e in cuts]
+
+
+def _width_and_td(g, bd, cap):
+    """branch_width_sim and sim_to_td off one walk."""
+    td, cuts = _walk(g, bd, cap)
+    return max((_cut_value(g, cut, size, cap) for cut, size in cuts), default=0), td
+
+
+def branch_width_sim(g, bd, cap=SIMVAL_CAP):
+    """Maximum cut value over the tree edges of the branch decomposition,
+    read off the walk that fills sim_to_td's bags. The cuts are valued in
+    sorted tree-edge order, so the first over the cap raises."""
+    return _width_and_td(g, bd, cap)[0]
 
 
 def sim_to_td(g, bd):
@@ -157,21 +170,7 @@ def sim_to_td(g, bd):
     branch width k, every bag has domination number at most 6k (at most 1
     at the leaves).
     """
-    if bd.n != g.n:
-        raise MalformedDecompositionError(
-            f"branch decomposition covers {bd.n} vertices, graph has {g.n}"
-        )
-    if g.n == 0:
-        raise EmptySetError("cannot decompose the empty graph")
-    bags = {t: set() for t in bd.tree.vertices}
-    for v in g.vertices:
-        bags[bd.leaf_map[v]].add(v)
-    for u, v in sorted(g.edges):
-        for t in sweep_path(bd.tree, bd.leaf_map[u], bd.leaf_map[v]):
-            bags[t].update((u, v))
-    return TreeDecomposition(
-        bd.tree, {t: frozenset(bag) for t, bag in bags.items()}
-    )
+    return _walk(g, bd, 0)[0]
 
 
 def dominating_partition(g, s, cap=DEFAULT_CAP):
@@ -250,8 +249,7 @@ def simwidth_pipeline(g, bd, cap=DEFAULT_CAP, simval_cap=SIMVAL_CAP, budget=None
     (6k, 3); the final width is then at most 12k-1, with 6k clamped as in
     six_k at branch width 0.
     """
-    k = branch_width_sim(g, bd, simval_cap)
-    td = sim_to_td(g, bd)
+    k, td = _width_and_td(g, bd, simval_cap)
     centred_k = six_k(k)
 
     def certify(bag):

@@ -182,3 +182,18 @@ def validation_by_search(g, td):
         if seen != trace:
             return False, "trace_disconnected", v
     return True, None, None
+
+
+def side_cut_bags(g, bd):
+    """The bags of a branch decomposition's tree decomposition, read off the
+    sides: each node holds its leaf's vertex and the ends of every graph
+    edge cut by a tree edge at that node."""
+    leaf_vertex = {t: v for v, t in bd.leaf_map.items()}
+    bags = {}
+    for t in bd.tree.vertices:
+        bag = {leaf_vertex[t]} if t in leaf_vertex else set()
+        for s in bd.tree.adjacency[t]:
+            side = bd.side((t, s))
+            bag.update(w for e in g.edges if (e[0] in side) != (e[1] in side) for w in e)
+        bags[t] = frozenset(bag)
+    return bags

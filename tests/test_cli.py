@@ -429,3 +429,17 @@ def test_sim_width_bounds_at_branch_width_zero(tmp_path):
     assert payload["measured"]["domination_number"] == 1
     assert payload["bounds"] == {"domination_number": {"formula": "6k", "value": 1}}
     assert payload["checks"] == {"domination_le_6k": True, "valid": True}
+
+
+def test_sim_to_td_rejects_a_bd_for_another_vertex_count(tmp_path):
+    gr, bd = tmp_path / "g.gr", tmp_path / "b.bd"
+    gr.write_text(emit_graph(path_graph(3)))
+    bd.write_text(emit_bd(coarsetd.BranchDecomposition(
+        coarsetd.Graph(2, [(1, 2)]), {1: 1, 2: 2}
+    )))
+    result = run(["sim-to-td", "--graph", str(gr), "--bd", str(bd),
+                  "-o", str(tmp_path / "t.td")])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: branch decomposition covers 2 vertices, graph has 3\n"
+    )

@@ -12,6 +12,7 @@ from coarsetd import (
     minimum_dominating_set,
     validate_decomposition,
 )
+from coarsetd.exact import _first_k_coloring, k_coloring
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -30,6 +31,16 @@ def test_chromatic_examples():
     assert exact_chromatic_number(cycle_graph(4)) == 2
     assert exact_chromatic_number(cycle_graph(5)) == 3 == brute_chromatic(cycle_graph(5))
     assert exact_chromatic_number(complete_graph(4)) == 4
+    assert exact_chromatic_number(Graph(0)) == 0
+    # no vertex needs no colour; a vertex with no colour to take fails
+    for k in (-1, 0, 1):
+        assert k_coloring(Graph(0), k) == []
+        assert _first_k_coloring([()], k, backtrack=False) == []
+    for k in (-1, 0):
+        assert k_coloring(Graph(1), k) is None
+        assert k_coloring(cycle_graph(4), k) is None
+        assert _first_k_coloring([(), ()], k, backtrack=False) is None
+    assert k_coloring(cycle_graph(4), 2) == [0, 1, 0, 1]
 
 
 def test_independence_examples():

@@ -24,6 +24,7 @@ from coarsetd.generators import (
     random_connected_graph,
 )
 import random
+import time
 
 
 def test_parse_k2():
@@ -162,3 +163,119 @@ def test_partition_round_trip():
         parse_partition("2\n1 2\n")  # count mismatch
     with pytest.raises(ParseError):
         parse_partition("1\n1 1\n")  # duplicate in part
+
+
+def _rows(parse, *cases, **kw):
+    return [
+        pytest.param(parse, kw, text, message, id=f"{parse.__name__}-{name}")
+        for name, text, message in cases
+    ]
+
+
+# one row per `raise ParseError` in fileio: the parser, its input and the
+# exact message the user sees
+PARSE_ERRORS = [
+    *_rows(
+        parse_graph,
+        ("not-an-integer", "p tw x 1\n", "line 1: vertex count is not an integer: 'x'"),
+        ("id-outside", "p tw 2 1\n1 3\n", "line 2: vertex id outside 1..2"),
+        ("self-loop", "p tw 2 1\n1 1\n", "line 2: self-loop at 1"),
+        ("duplicate-edge", "p tw 2 2\n1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
+        ("duplicate-header", "p tw 1 0\np tw 1 0\n", "line 2: duplicate header"),
+        ("bad-header", "p tw 1\n", "line 1: expected header 'p tw <n> <m>'"),
+        ("negative-count", "p tw -1 0\n", "line 1: counts must be non-negative"),
+        ("edge-before-header", "1 2\n", "line 1: edge line before the header"),
+        ("bad-edge-line", "p tw 2 1\n1 2 3\n", "line 2: expected an edge line '<u> <v>'"),
+        ("missing-header", "c only a comment\n", "missing header 'p tw <n> <m>'"),
+        ("edge-count", "p tw 2 1\n", "header declares 1 edges, found 0"),
+    ),
+    *_rows(
+        parse_td,
+        ("duplicate-header", "s td 1 0 0\ns td 1 0 0\n", "line 2: duplicate header"),
+        ("bad-header", "s td 1 0\n", "line 1: expected header 's td <bags> <max_bag_size> <n>'"),
+        ("no-bags", "s td 0 0 0\n", "line 1: need at least one bag"),
+        ("negative-count", "s td 1 -1 0\n", "line 1: counts must be non-negative"),
+        ("bag-before-header", "b 1 1\n", "line 1: bag line before the header"),
+        ("bad-bag-line", "s td 1 0 0\nb\n", "line 2: expected 'b <bag_id> <v1> ...'"),
+        ("bag-id-outside", "s td 1 1 1\nb 2 1\n", "line 2: bag id outside 1..1"),
+        ("duplicate-bag", "s td 2 1 1\nb 1 1\nb 1 1\n", "line 3: duplicate bag 1"),
+        ("vertex-outside", "s td 1 1 1\nb 1 2\n", "line 2: vertex id outside 1..1"),
+        ("duplicate-vertex", "s td 1 2 2\nb 1 1 1\n", "line 2: duplicate vertex 1 in bag 1"),
+        ("edge-before-header", "1 2\n", "line 1: tree edge before the header"),
+        ("bad-tree-edge", "s td 2 1 1\nb 1 1\nb 2 1\n1 2 3\n", "line 4: expected a tree edge '<i> <j>'"),
+        ("node-outside", "s td 2 1 1\nb 1 1\nb 2 1\n1 3\n", "line 4: node id outside 1..2"),
+        ("tree-self-loop", "s td 2 1 1\nb 1 1\nb 2 1\n2 2\n", "line 4: self-loop at node 2"),
+        ("duplicate-tree-edge", "s td 2 1 1\nb 1 1\nb 2 1\n1 2\n2 1\n", "line 5: duplicate tree edge (1, 2)"),
+        ("missing-header", "", "missing header 's td <bags> <max_bag_size> <n>'"),
+        ("missing-bags", "s td 3 1 1\nb 1 1\n1 2\n", "bags [2, 3] are not defined"),
+        ("edge-count", "s td 2 1 1\nb 1 1\nb 2 1\n", "expected 1 tree edges, found 0"),
+        ("max-size", "s td 1 2 1\nb 1 1\n", "header declares max bag size 2, found 1"),
+        ("bags-past-lines", "s td 3 1 1\nb 1 1\n", "line 1: 3 bags cannot fit in 2 lines"),
+    ),
+    *_rows(
+        parse_bd,
+        ("duplicate-header", "s bd 1 1\ns bd 1 1\n", "line 2: duplicate header"),
+        ("bad-header", "s bd 1\n", "line 1: expected header 's bd <tree_nodes> <n>'"),
+        ("bad-counts", "s bd 0 1\n", "line 1: bad counts in header"),
+        ("edge-before-header", "e 1 2\n", "line 1: tree edge before the header"),
+        ("bad-tree-edge", "s bd 2 1\ne 1 2 3\n", "line 2: expected 'e <i> <j>'"),
+        ("leaf-before-header", "l 1 1\n", "line 1: leaf line before the header"),
+        ("bad-leaf-line", "s bd 1 1\nl 1\n", "line 2: expected 'l <node> <vertex>'"),
+        ("node-outside", "s bd 1 1\nl 2 1\n", "line 2: node id outside 1..1"),
+        ("vertex-outside", "s bd 1 1\nl 1 2\n", "line 2: vertex id outside 1..1"),
+        ("duplicate-leaf", "s bd 2 2\nl 1 1\nl 2 1\n", "line 3: duplicate leaf line for vertex 1"),
+        ("node-twice", "s bd 2 2\nl 1 1\nl 1 2\n", "line 3: node 1 mapped twice"),
+        ("unknown-line", "s bd 1 1\nx 1 1\n", "line 2: unknown line type 'x'"),
+        ("missing-header", "", "missing header 's bd <tree_nodes> <n>'"),
+        ("leaf-count", "s bd 1 1\n", "expected 1 leaf lines, found 0"),
+        ("nodes-past-lines", "s bd 4 1\nl 1 1\n", "line 1: 4 nodes cannot fit in 2 lines"),
+    ),
+    *_rows(
+        parse_map,
+        ("bad-line", "1\n", "line 1: expected '<source_vertex> <target_vertex>'"),
+        ("not-increasing", "2 1\n1 1\n", "line 2: source vertices must be strictly increasing, got 1"),
+        ("missing-lines", "1 1\n", "expected one line per source vertex (1..2)"),
+        n_source=2,
+    ),
+    *_rows(parse_map, ("source-outside", "2 1\n", "line 1: source vertex outside 1..1"), n_source=1),
+    *_rows(parse_map, ("target-outside", "1 2\n", "line 1: target vertex outside 1..1"), n_target=1),
+    *_rows(
+        parse_partition,
+        ("bad-count-line", "1 2\n", "line 1: expected the part count on the first line"),
+        ("no-parts", "0\n", "line 1: need at least one part"),
+        ("vertex-outside", "1\n2\n", "line 2: vertex id outside 1..1"),
+        ("duplicate-vertex", "1\n1 1\n", "line 2: duplicate vertex 1 in part"),
+        ("missing-count", "c nothing\n", "missing part count"),
+        ("part-count", "2\n1\n", "declared 2 parts, found 1"),
+        n=1,
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, kw, text, message", PARSE_ERRORS)
+def test_parse_error_messages(parse, kw, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, **kw)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_td, "s td 1000000000000 1 1\nb 1 1\n"),
+    (parse_bd, "s bd 1000000000000 1\nl 1 1\n"),
+])
+def test_header_counts_past_the_file_fail_at_once(parse, text):
+    """A header count the file cannot hold fails before any work in
+    proportion to it: no list of missing bags, no tree of 10^12 nodes."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^line 1: 1000000000000 .* cannot fit in 2 lines$"):
+        parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_header_counts_at_the_line_limit_pass_the_check():
+    # as many bags as lines, and one tree node more than lines, reach the
+    # checks after the header
+    with pytest.raises(ParseError, match="^bags \\[2\\] are not defined$"):
+        parse_td("s td 2 1 1\nb 1 1\n")
+    with pytest.raises(MalformedDecompositionError, match="is not a tree"):
+        parse_bd("s bd 3 1\nl 1 1\n")

@@ -5,8 +5,8 @@ oracle rows, which relax the edge set and share no code with either. The
 exact bitmask solvers on masks built straight from the host graph: the
 same witnesses as the Graph solvers on the induced subgraph, and the
 sizes of the brute-force oracles. The tree questions on the component
-sweep: paths, branch widths and validation against a BFS parent table,
-the cut of each tree edge's side and a per-trace search."""
+sweep: paths, branch widths, bags and validation against a BFS parent
+table, the sides of the tree edges and a per-trace search."""
 
 import random
 import sys
@@ -15,8 +15,10 @@ from math import inf
 from unittest.mock import patch
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import coarsetd.simwidth
 from coarsetd import (
     CoarseTDError,
     Graph,
@@ -46,9 +48,12 @@ from coarsetd import (
     qi_constant,
     sim_to_td,
     simval,
+    simwidth_pipeline,
     validate_decomposition,
     weak_diameter,
 )
+from coarsetd.cli import main
+from coarsetd.fileio import emit_bd, emit_graph
 from coarsetd.generators import (
     FAMILIES,
     gen_ktree,
@@ -65,6 +70,7 @@ from oracles import (
     centred_brute,
     distance_rows,
     qi_constant_brute,
+    side_cut_bags,
     simval_brute,
     validation_by_search,
 )
@@ -571,6 +577,47 @@ def test_branch_width_is_the_widest_side_cut(n, p, seed, cap):
     assert outcome(lambda: branch_width_sim(g, bd, cap)) == outcome(lambda: max(
         (simval(g, bd.side(e), cap) for e in sorted(bd.tree.edges)), default=0
     ))
+
+
+@given(
+    st.integers(1, 12),
+    st.sampled_from([0.1, 0.2, 0.35, 0.5]),
+    st.integers(0, 999),
+)
+@settings(max_examples=200, deadline=None)
+def test_sim_to_td_bags_are_the_side_cut_bags(n, p, seed):
+    """The bags filled along leaf-to-leaf paths are the bags the sides of
+    the tree edges at each node give."""
+    inst = generate_corpus("random-branch-decomposition", {"n": n, "p": p}, seed=seed)
+    g, bd = inst.graph, inst.branch_decomposition
+    assert sim_to_td(g, bd).bags == side_cut_bags(g, bd)
+
+
+def test_one_walk_per_branch_decomposition(tmp_path, monkeypatch):
+    """The pipeline and the sim-to-td command read the cuts and the bags
+    off one leaf-to-leaf path per graph edge."""
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    g, bd = inst.graph, inst.branch_decomposition
+    calls = []
+
+    def counting_sweep_path(*args):
+        calls.append(args)
+        return sweep_path(*args)
+
+    monkeypatch.setattr(coarsetd.simwidth, "sweep_path", counting_sweep_path)
+    assert simwidth_pipeline(g, bd, simval_cap=64).branch_width > 0
+    assert len(calls) == g.m == 48
+    calls.clear()
+    (tmp_path / "g.gr").write_text(emit_graph(g))
+    (tmp_path / "b.bd").write_text(emit_bd(bd))
+    result = CliRunner().invoke(main, [
+        "--cap", "64", "sim-to-td", "--graph", str(tmp_path / "g.gr"),
+        "--bd", str(tmp_path / "b.bd"), "-o", str(tmp_path / "t.td"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == g.m
 
 
 def test_tree_questions_run_no_bfs(monkeypatch):

@@ -397,3 +397,19 @@ def test_simwidth_pipeline_disconnected():
         report.pipeline.final_graph, report.pipeline.final_decomposition
     ).ok
     assert report.width_out <= 12 * report.branch_width - 1
+
+
+def test_size_mismatch_is_one_error():
+    """Each entry point checks once that the decomposition covers the graph;
+    an empty graph fails that check, as every branch tree has a leaf."""
+    for g, bd, n in [(path_graph(4), star_bd(), 3), (Graph(0), caterpillar_bd(1), 1)]:
+        for call in (
+            lambda: branch_width_sim(g, bd),
+            lambda: sim_to_td(g, bd),
+            lambda: simwidth_pipeline(g, bd),
+        ):
+            with pytest.raises(MalformedDecompositionError) as err:
+                call()
+            assert str(err.value) == (
+                f"branch decomposition covers {n} vertices, graph has {g.n}"
+            )
