@@ -54,8 +54,9 @@ class _Ctx:
 
 
 class _Group(click.Group):
-    """Turns package errors, rejected arguments and unreadable or unwritable
-    paths into clean CLI failures: an `Error:` line and exit 1."""
+    """Turns package errors, rejected arguments, unreadable or unwritable
+    paths and exhausted memory into clean CLI failures: an `Error:` line and
+    exit 1 (a `.gr` header may declare more vertices than memory holds)."""
 
     def invoke(self, ctx):
         try:
@@ -64,6 +65,8 @@ class _Group(click.Group):
             raise  # click exits quietly on a closed stdout
         except (CoarseTDError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            raise click.ClickException("out of memory") from exc
 
 
 @click.group(cls=_Group)

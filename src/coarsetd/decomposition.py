@@ -155,12 +155,9 @@ def decomposition_from_order(g, order):
             tree_edges.append((i + 1, pos[succ] + 1))
         elif i + 1 < len(order):
             tree_edges.append((i + 1, i + 2))
-        for a in nb:
-            for b in nb:
-                if a != b and b not in adj[a]:
-                    adj[a].add(b)
-        for u in nb:
-            adj[u].discard(v)
+        for a in nb:  # v's neighbours become a clique without v
+            adj[a].update(nb)
+            adj[a] -= {a, v}
         del adj[v]
     return TreeDecomposition(Graph(len(order), tree_edges), bags)
 

@@ -2,9 +2,10 @@
 
 Vertices are the integers 1..n. Graphs are immutable once built, so shared
 instances are safe to read concurrently and every operation here is a pure
-function of its arguments. Connected components, BFS depths, level masks
-and neighbour tuples are computed lazily and cached on the instance; no
-distance row, and so no whole-graph distance table, is ever kept.
+function of its arguments. Connected components, BFS depths, level masks,
+neighbour tuples and step-up neighbours are computed lazily and cached on
+the instance; no distance row, and so no whole-graph distance table, is
+ever kept.
 
 Level masks (`Graph.balls`) are bitsets of the vertices within distance r
 of each vertex, built one radius at a time by OR-ing neighbours' masks.
@@ -34,7 +35,7 @@ class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
     __slots__ = (
-        "n", "edges", "adjacency", "_components", "_depth", "_masks", "_nbrs"
+        "n", "edges", "adjacency", "_components", "_depth", "_masks", "_nbrs", "_up"
     )
 
     def __init__(self, n, edges=()):
@@ -58,6 +59,7 @@ class Graph:
         self._depth = None
         self._masks = None
         self._nbrs = None
+        self._up = None
 
     @property
     def vertices(self):
@@ -191,15 +193,21 @@ def bfs(adj, sources, within=None, radius=inf):
 def sweep_path(g, a, b):
     """The path from a to b through the component sweep: the deeper end
     (both, at equal depth) steps to its smallest neighbour one level up
-    until the ends meet. In a tree this is the tree path."""
-    depth, adj = g._sweep()[0], g.adjacency
+    until the ends meet. In a tree this is the tree path. The step-up
+    neighbours are built by g's first path and published as one list."""
+    depth, up = g._sweep()[0], g._up
+    if up is None:
+        up = g._up = [None] + [
+            min((y for y in g.adjacency[x] if depth[y] == depth[x] - 1), default=None)
+            for x in g.vertices
+        ]
     up_a, up_b = [a], [b]
     while up_a[-1] != up_b[-1]:
-        deepest = max(depth[up_a[-1]], depth[up_b[-1]])
-        for path in (up_a, up_b):
-            x = path[-1]
-            if depth[x] == deepest:
-                path.append(min(y for y in adj[x] if depth[y] == deepest - 1))
+        x, y = up_a[-1], up_b[-1]
+        if depth[x] >= depth[y]:
+            up_a.append(up[x])
+        if depth[y] >= depth[x]:
+            up_b.append(up[y])
     return up_a + up_b[-2::-1]
 
 

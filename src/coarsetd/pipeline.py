@@ -23,6 +23,8 @@ copy i-1 to the first in copy i) and node 1 to node 1 for a tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .decomposition import (
     TreeDecomposition,
@@ -44,7 +46,6 @@ from .graph import (
     bfs,
     induced_subgraph,
     is_bipartite,
-    near_pairs,
     single_source_distances,
     weak_diameter,
 )
@@ -83,7 +84,7 @@ class Partition:
                 f"parts do not cover the vertex set (missing {missing}, extra {extra})"
             )
         for members in cleaned:
-            if not _part_connected(g, members):
+            if len(bfs(g.adjacency, [min(members)], within=members)) < len(members):
                 raise InvalidPartitionError(
                     f"part {sorted(members)} does not induce a connected subgraph"
                 )
@@ -113,10 +114,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition(parts={len(self.parts)}, n={self.graph.n})"
-
-
-def _part_connected(g, members):
-    return len(bfs(g.adjacency, [next(iter(members))], within=members)) == len(members)
 
 
 def quotient_map(p, d):
@@ -153,16 +150,38 @@ def augment(g, td, d):
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    edges = set(g.edges)
-    for t in td.nodes:
-        bag = sorted(td.bag(t))
-        edges.update((bag[i - 1], bag[j - 1]) for i, j in near_pairs(g, d, bag))
-    h = g if len(edges) == g.m else Graph(g.n, edges)
+    new = []
+    if d > 1:  # bag-mates within distance 1 are adjacent already
+        # co[u]: the vertices sharing a bag with u; u's new edges go to those
+        # above u (the mask -(2 << u)) within distance d and not yet adjacent
+        co = [0] * (g.n + 1)
+        for bag in td.bags.values():
+            mask = reduce(or_, (1 << v for v in bag), 0)
+            for v in bag:
+                co[v] |= mask
+        if g.fits(d):
+            ball, near = g.balls(1), g.balls(d)
+            for u in g.vertices:
+                new += [(u, v) for v in _bits(co[u] & near[u] & ~ball[u] & -(2 << u))]
+        else:
+            for u in g.vertices:
+                mates = [v for v in _bits(co[u] & -(2 << u)) if v not in g.adjacency[u]]
+                if mates:
+                    row = single_source_distances(g, u)
+                    new += [(u, v) for v in mates if row[v] is not None and row[v] <= d]
+    h = Graph(g.n, g.edges.union(new)) if new else g
     if g.n == 0 or not g.is_connected():
         return h, identity_map(g, h)
     if h is g:
         return h, QuasiIsometryMap(g, h, {v: v for v in g.vertices}, measured_q=1)
     return h, measure(g, h, identity_map(g, h), max(d, 1))
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        yield (low := mask & -mask).bit_length() - 1
+        mask ^= low
 
 
 def layered_parts(g):
@@ -422,11 +441,13 @@ def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CA
     runs = []
     for comp in g.connected_components():
         sub, vs = induced_subgraph(g, comp)
-        local = {v: i + 1 for i, v in enumerate(vs)}
-        restricted = {
-            t: frozenset(local[v] for v in td.bag(t) if v in comp) for t in td.nodes
-        }
-        sub_td = TreeDecomposition(td.tree, restricted, shape=td.shape)
+        sub_td = td  # a connected g is its own component, with td's bags
+        if sub is not g:
+            local = {v: i + 1 for i, v in enumerate(vs)}
+            restricted = {
+                t: frozenset(local[v] for v in td.bag(t) if v in comp) for t in td.nodes
+            }
+            sub_td = TreeDecomposition(td.tree, restricted, shape=td.shape)
         runs.append(
             _pipeline_component(sub, sub_td, vs, k, d, check_centred, budget, cap)
         )

@@ -10,13 +10,10 @@ from functools import reduce
 from operator import or_
 
 from .decomposition import TreeDecomposition, each_bag
-from .errors import (
-    EmptySetError,
-    MalformedDecompositionError,
-    TooLargeError,
-)
+from .errors import EmptySetError, MalformedDecompositionError
 from .exact import (
     DEFAULT_CAP,
+    _check_cap,
     bag_masks,
     dominating_mask,
     independent_mask,
@@ -95,11 +92,12 @@ def simval(g, a, cap=SIMVAL_CAP):
         for u, v in g.edges
         if (u in inside) != (v in inside)
     )
-    return _cut_value(g, cut, len(cut), cap)
+    _check_cap(len(cut), cap, "cut")
+    return _cut_value(g, cut)
 
 
-def _cut_value(g, cut, size, cap):
-    """simval of a cut of `size` edges, listed in `cut` when size <= cap.
+def _cut_value(g, cut):
+    """simval of the cut whose edges are listed in `cut`.
 
     The cut edges conflict when they share an endpoint or any graph edge
     joins their endpoints; an induced matching is an independent set in
@@ -107,8 +105,6 @@ def _cut_value(g, cut, size, cap):
     every cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict
     mask is the OR of those vertices' masks over the cut indices.
     """
-    if size > cap:
-        raise TooLargeError(size, cap, "cut")
     if not cut:
         return 0
     at = {}
@@ -149,15 +145,23 @@ def _walk(g, bd, cap):
 
 
 def _width_and_td(g, bd, cap):
-    """branch_width_sim and sim_to_td off one walk."""
+    """branch_width_sim and sim_to_td off one walk. An induced matching in a
+    cut has distinct first ends and distinct second ends, so a cut with no
+    more ends of either kind than the best value so far is not solved."""
     td, cuts = _walk(g, bd, cap)
-    return max((_cut_value(g, cut, size, cap) for cut, size in cuts), default=0), td
+    for _, size in cuts:
+        _check_cap(size, cap, "cut")
+    best = 0
+    for cut, _ in cuts:
+        if min(len({u for u, _ in cut}), len({v for _, v in cut})) > best:
+            best = max(best, _cut_value(g, cut))
+    return best, td
 
 
 def branch_width_sim(g, bd, cap=SIMVAL_CAP):
     """Maximum cut value over the tree edges of the branch decomposition,
-    read off the walk that fills sim_to_td's bags. The cuts are valued in
-    sorted tree-edge order, so the first over the cap raises."""
+    read off the walk that fills sim_to_td's bags. The cut sizes are
+    checked in sorted tree-edge order, so the first over the cap raises."""
     return _width_and_td(g, bd, cap)[0]
 
 

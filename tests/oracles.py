@@ -197,3 +197,27 @@ def side_cut_bags(g, bd):
             bag.update(w for e in g.edges if (e[0] in side) != (e[1] in side) for w in e)
         bags[t] = frozenset(bag)
     return bags
+
+
+def scan_sweep_path(g, a, b):
+    """The path from a to b by the scan rule: BFS depths from the smallest
+    vertex of each component, then the deeper end (both, at equal depth)
+    scans its neighbours for the smallest one a level up, until the ends
+    meet."""
+    depth = {}
+    for root in g.vertices:
+        if root not in depth:
+            depth[root], queue = 0, [root]
+            for x in queue:
+                for y in g.adjacency[x]:
+                    if y not in depth:
+                        depth[y] = depth[x] + 1
+                        queue.append(y)
+    up_a, up_b = [a], [b]
+    while up_a[-1] != up_b[-1]:
+        deepest = max(depth[up_a[-1]], depth[up_b[-1]])
+        for path in (up_a, up_b):
+            x = path[-1]
+            if depth[x] == deepest:
+                path.append(min(y for y in g.adjacency[x] if depth[y] == deepest - 1))
+    return up_a + up_b[-2::-1]

@@ -443,3 +443,17 @@ def test_sim_to_td_rejects_a_bd_for_another_vertex_count(tmp_path):
     assert result.output == (
         "Error: branch decomposition covers 2 vertices, graph has 3\n"
     )
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
+    """A `.gr` header may declare more vertices than memory holds; the
+    command ends in one `Error:` line, not a traceback."""
+    gr, td = write_c6(tmp_path)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(coarsetd.fileio, "parse_graph", exhausted)
+    result = run(["validate-td", "--graph", str(gr), "--td", str(td)])
+    assert result.exit_code == 1
+    assert result.output == "Error: out of memory\n"

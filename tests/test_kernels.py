@@ -18,6 +18,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import coarsetd.graph
+import coarsetd.pipeline
 import coarsetd.simwidth
 from coarsetd import (
     CoarseTDError,
@@ -63,13 +65,14 @@ from coarsetd.generators import (
 )
 from coarsetd.graph import single_source_distances, sweep_path
 from coarsetd.pipeline import layered_parts
-from helpers import path_graph
+from helpers import path_graph, single_bag_td
 from oracles import (
     brute_alpha,
     brute_gamma,
     centred_brute,
     distance_rows,
     qi_constant_brute,
+    scan_sweep_path,
     side_cut_bags,
     simval_brute,
     validation_by_search,
@@ -526,6 +529,66 @@ def test_sweep_path_is_the_tree_path(n, seed, data):
         up_a.pop()
         up_b.pop()
     assert sweep_path(fresh(tree), a, b) == up_a + up_b[-2::-1]
+
+
+@given(family_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sweep_path_is_the_scan_rule(g, data):
+    """On a connected graph, sweep_path's cached step-up neighbours give the
+    path of the scan rule, for every pair asked of one graph in turn."""
+    x = fresh(g)
+    for _ in range(3):
+        a, b = data.draw(st.integers(1, g.n)), data.draw(st.integers(1, g.n))
+        if x.is_connected():
+            assert sweep_path(x, a, b) == scan_sweep_path(g, a, b)
+
+
+def test_row_fallback_reads_one_row_per_vertex_at_most(monkeypatch):
+    """Past the 56-level rule augment reads one row per vertex that has a
+    bag-mate above it not yet adjacent, never one per bag member."""
+    rows = []
+    row = single_source_distances
+
+    def counting_row(g, source):
+        rows.append(source)
+        return row(g, source)
+
+    # both bindings, so a row read through graph.py's helpers counts too
+    for module in (coarsetd.graph, coarsetd.pipeline):
+        monkeypatch.setattr(module, "single_source_distances", counting_row)
+    path = path_graph(300)
+    td = decomposition_from_order(path, list(path.vertices))
+    assert not path.fits(100)
+    assert augment(path, td, 100)[0] is path
+    assert len(rows) <= path.n
+    rows.clear()
+    path = path_graph(100)
+    h, _ = augment(path, single_bag_td(path), 60)
+    assert h.m == 4170
+    assert rows == list(range(1, 99))
+
+
+def test_branch_width_skips_cuts_that_cannot_raise_it(monkeypatch):
+    """A cut with no more edges, first ends or second ends than the best
+    value so far is not solved."""
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    g, bd = inst.graph, inst.branch_decomposition
+    calls = []
+    kernel = coarsetd.simwidth.independent_mask
+
+    def counting(adj):
+        calls.append(len(adj))
+        return kernel(adj)
+
+    monkeypatch.setattr(coarsetd.simwidth, "independent_mask", counting)
+    assert branch_width_sim(g, bd, cap=64) == 4
+    cut = [e for e in bd.tree.edges if any(
+        (u in bd.side(e)) != (v in bd.side(e)) for u, v in g.edges
+    )]
+    assert len(cut) == 37
+    assert len(calls) == 15
 
 
 @st.composite
