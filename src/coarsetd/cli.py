@@ -30,7 +30,7 @@ from .pipeline import (
     push_decomposition,
     run_pipeline,
 )
-from .quasiiso import QuasiIsometryMap, compose, measure, qi_constant
+from .quasiiso import QuasiIsometryMap, compose, measure, pullback_decomposition, qi_constant
 from .report import Report, digest
 from .simwidth import (
     SIMVAL_CAP,
@@ -157,9 +157,7 @@ def validate_td_cmd(ctx, graph_path, td_path):
     if not result.ok:
         report.details["violation"] = {
             "kind": result.kind,
-            "witness": list(result.witness)
-            if isinstance(result.witness, tuple)
-            else result.witness,
+            "witness": result.witness,
         }
     _finish(ctx, report)
 
@@ -323,7 +321,7 @@ def push_td_cmd(ctx, graph_path, td_path, part_path, out_path):
 @click.option("--d", type=int, required=True)
 @click.option("--budget", type=int, default=None)
 @click.option("--skip-centred-check", is_flag=True,
-              help="Waive the (k,d)-centred precondition check.")
+              help="Check bag independence <= k instead of (k,d)-centredness.")
 @click.option("-o", "--output", "outdir", required=True, type=click.Path())
 @click.pass_context
 def pipeline_cmd(ctx, graph_path, td_path, k, d, budget, skip_centred_check, outdir):
@@ -360,8 +358,6 @@ def pipeline_cmd(ctx, graph_path, td_path, k, d, budget, skip_centred_check, out
 @click.pass_context
 def pullback_cmd(ctx, graph_path, host_path, map_path, td_path, c, out_path):
     """Pull a host decomposition back along a c-quasi-isometry."""
-    from .quasiiso import pullback_decomposition
-
     report = Report("pullback", parameters={"c": c})
     g = _load(report, graph_path, fileio.parse_graph)
     h = _load(report, host_path, fileio.parse_graph)

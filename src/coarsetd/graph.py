@@ -258,7 +258,7 @@ def near_pairs(g, d, vs):
             mask = ball[u]
             pairs += [(i, j + 1) for j in range(i, len(vs)) if mask & bits[j]]
         return pairs
-    for i, u in enumerate(vs, 1):
+    for i, u in enumerate(vs[:-1], 1):  # the last row adds no pair
         row = single_source_distances(g, u)
         near = [x is not None and x <= d for x in map(row.__getitem__, vs)]
         pairs += [(i, j + 1) for j in range(i, len(vs)) if near[j]]

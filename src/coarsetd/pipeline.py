@@ -301,23 +301,14 @@ class IndToTwResult:
     partition_diameter: int
 
 
-def ind_to_tw(g, td, k, budget=None, cap=DEFAULT_CAP):
+def ind_to_tw(g, td, *, budget=None):
     """Contract a bipartite-quotient partition and push the decomposition.
 
     Precondition: td is a valid decomposition of g (not rechecked here).
-    Requires bag independence at most k; the pushed decomposition then has
-    bags of at most 2k quotient vertices, i.e. width at most 2k-1. Only
-    bags of more than k vertices are solved and held to the cap.
+    Nothing else is checked either: a bag of independence number alpha
+    pushes to at most 2*alpha quotient vertices, so bag independence at
+    most k gives width at most 2k-1.
     """
-
-    def independence(bag):
-        if len(bag) <= k:
-            return 0
-        return independent_mask(bag_masks(g, bag, cap)).bit_count()
-
-    alpha = max(each_bag(td, independence).values(), default=0)
-    if alpha > k:
-        raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
     bp = bipartite_partition(g, budget=budget)
     qmap = quotient_map(bp.partition, bp.max_diameter + 1)
     pushed = push_decomposition(td, bp.partition)
@@ -415,7 +406,18 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
                 "pass check_centred=False to waive"
             )
     h, phi1 = augment(g, td, d)
-    stage2 = ind_to_tw(h, td, k, budget=budget, cap=cap)
+    if not check_centred:
+        # a centred bag is k cliques of h, so only a waived check leaves bag
+        # independence to solve, in the bags of more than k vertices
+        def independence(bag):
+            if len(bag) <= k:
+                return 0
+            return independent_mask(bag_masks(h, bag, cap)).bit_count()
+
+        alpha = max(each_bag(td, independence).values(), default=0)
+        if alpha > k:
+            raise PreconditionError(f"bag independence number {alpha} exceeds {k}")
+    stage2 = ind_to_tw(h, td, budget=budget)
     # after the identity of g onto itself, stage 2's map is the composite
     composed = stage2.map if h is g else compose(phi1, stage2.map)
     claimed = (d + 2) * stage2.map.measured_q
@@ -427,9 +429,9 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
 def run_pipeline(g, td, k, d, *, check_centred=True, budget=None, cap=DEFAULT_CAP):
     """Run both stages and report every measured constant and check.
 
-    Precondition: td is a valid (k,d)-centred decomposition of g; the
-    centred check is run in exact mode unless waived with
-    check_centred=False, in which case only measured outputs are reported.
+    Precondition: td is a valid (k,d)-centred decomposition of g, checked
+    in exact mode; when waived with check_centred=False, the augmented bags
+    of more than k vertices are checked for independence <= k instead.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

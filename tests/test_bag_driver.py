@@ -15,7 +15,7 @@ from coarsetd import (
     bag_metrics,
     centred_check_decomposition,
     generate_corpus,
-    ind_to_tw,
+    run_pipeline,
     sim_to_td,
     simwidth_pipeline,
 )
@@ -70,7 +70,8 @@ def test_each_bag_passes_other_errors_through():
 @pytest.mark.parametrize("call", [
     lambda g: bag_metrics(g, p3_wide_td(), cap=2),
     lambda g: centred_check_decomposition(g, p3_wide_td(), 1, 2, cap=2),
-    lambda g: ind_to_tw(g, p3_wide_td(), 2, cap=2),
+    # the independence gate, which a waived run_pipeline runs before ind_to_tw
+    lambda g: run_pipeline(g, p3_wide_td(), 2, 1, check_centred=False, cap=2),
     lambda g: simwidth_pipeline(g, p3_star_bd(), cap=2),
 ], ids=["bag_metrics", "centred_check_decomposition", "ind_to_tw",
         "simwidth_pipeline"])
@@ -83,7 +84,8 @@ def test_bag_over_cap_is_named(call):
 
 def test_independence_gate_solves_only_bags_over_k(monkeypatch):
     """A bag of at most k vertices cannot hold k + 1 independent ones, so
-    ind_to_tw neither solves it nor holds it to the cap."""
+    the gate of a waived run_pipeline neither solves it nor holds it to the
+    cap."""
     sizes = []
     solve = coarsetd.pipeline.independent_mask
 
@@ -93,7 +95,9 @@ def test_independence_gate_solves_only_bags_over_k(monkeypatch):
 
     monkeypatch.setattr(coarsetd.pipeline, "independent_mask", counting)
     # bag 2 has cap + 1 = 3 <= k vertices: it passes
-    assert ind_to_tw(path_graph(3), p3_wide_td(), 3, cap=2).decomposition
+    assert run_pipeline(
+        path_graph(3), p3_wide_td(), 3, 1, check_centred=False, cap=2
+    ).final_decomposition
     assert sizes == []
     inst = generate_corpus(
         "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
@@ -102,7 +106,7 @@ def test_independence_gate_solves_only_bags_over_k(monkeypatch):
     td = sim_to_td(g, inst.branch_decomposition)
     k = bag_metrics(g, td, cap=64).independence_number
     sizes.clear()
-    ind_to_tw(g, td, k, cap=64)
+    run_pipeline(g, td, k, 1, check_centred=False, cap=64)
     bags = [len(td.bag(t)) for t in td.nodes]
     assert sizes == [size for size in bags if size > k]
     assert 0 < len(sizes) < len(bags)

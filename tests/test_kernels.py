@@ -4,7 +4,9 @@ answer must be the same whichever kernel gives it, and the same as the
 oracle rows, which relax the edge set and share no code with either. The
 exact bitmask solvers on masks built straight from the host graph: the
 same witnesses as the Graph solvers on the induced subgraph, and the
-sizes of the brute-force oracles. The tree questions on the component
+sizes of the brute-force oracles; the dominating-partition certificates
+against the oracle rows, and the exact centred check against the
+independence gate it stands in for. The tree questions on the component
 sweep: paths, branch widths, bags and validation against a BFS parent
 table, the sides of the tree edges and a per-trace search."""
 
@@ -34,12 +36,13 @@ from coarsetd import (
     bag_metrics,
     branch_width_sim,
     centred_check,
+    centred_check_decomposition,
     decomposition_from_order,
     dominating_mask,
     dominating_partition,
+    exact_domination_number,
     generate_corpus,
     identity_map,
-    ind_to_tw,
     independent_mask,
     induced_masks,
     induced_subgraph,
@@ -48,6 +51,7 @@ from coarsetd import (
     power_graph,
     pullback_decomposition,
     qi_constant,
+    run_pipeline,
     sim_to_td,
     simval,
     simwidth_pipeline,
@@ -476,9 +480,66 @@ def test_mask_solvers_match_the_graph_solvers(g, data):
         assert simval(g, side, cap=12) == simval_brute(g, side)
 
 
+@given(inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dominating_partition_is_a_certificate(g, data):
+    """The pieces of `dominating_partition` are disjoint, cover the set,
+    number its domination number and have weak diameter at most 2 by the
+    oracle rows, so nothing downstream needs to measure them."""
+    s = data.draw(st.sets(st.sampled_from(list(g.vertices)), min_size=1))
+    parts = dominating_partition(g, s, cap=64)
+    assert sum(map(len, parts)) == len(s) and frozenset().union(*parts) == s
+    sub, _ = induced_subgraph(g, sorted(s))
+    assert len(parts) == exact_domination_number(sub, cap=64)
+    if sub.n <= 10:
+        assert len(parts) == brute_gamma(sub)
+    dm = distance_rows(g)
+    for part in parts:
+        assert all(dm[u][v] is not None and dm[u][v] <= 2 for u in part for v in part)
+
+
+@st.composite
+def centred_inputs(draw):
+    """A family graph, a decomposition of it, d, and the least k at which
+    the exact centred check passes (with some slack drawn on top)."""
+    family = draw(st.sampled_from(FAMILIES))
+    inst = generate_corpus(
+        family, draw(PARAMS[family]), seed=draw(st.integers(0, 999))
+    )
+    g, td = inst.graph, inst.decomposition
+    if inst.branch_decomposition is not None:
+        td = sim_to_td(g, inst.branch_decomposition)
+    elif td is None:
+        td = decomposition_from_order(g, list(g.vertices))
+    d = draw(st.integers(0, 3))
+    k = 1
+    while not centred_check_decomposition(g, td, k, d).all_centred:
+        k += 1
+    return g, td, k + draw(st.integers(0, 1)), d
+
+
+@given(centred_inputs())
+@settings(max_examples=100, deadline=None)
+def test_passed_centred_check_bounds_bag_independence(case):
+    """Once the exact centred check passes at (k, d), augment makes every
+    bag k cliques, so the independence gate it replaces could only pass:
+    the checked and the waived run give the same report and objects."""
+    g, td, k, d = case
+    h, _ = augment(g, td, d)
+    assert bag_metrics(h, td).independence_number <= k
+    checked = run_pipeline(g, td, k, d)
+    waived = run_pipeline(g, td, k, d, check_centred=False)
+    assert checked.to_dict() == waived.to_dict()
+    assert checked.final_graph.edges == waived.final_graph.edges
+    assert checked.final_decomposition.bags == waived.final_decomposition.bags
+    assert checked.final_decomposition.tree.edges == waived.final_decomposition.tree.edges
+    assert checked.final_map.mapping == waived.final_map.mapping
+
+
 def test_bag_and_cut_solves_build_no_graph(monkeypatch):
-    """The cut values, the certificates, the bag metrics and ind_to_tw's
-    independence gate read masks straight from g."""
+    """The cut values, the certificates, the bag metrics and the
+    independence gate of a waived run_pipeline read masks straight from
+    g."""
     inst = generate_corpus(
         "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
     )
@@ -499,7 +560,7 @@ def test_bag_and_cut_solves_build_no_graph(monkeypatch):
     assert alpha > 1
     # the gate refuses before the partition is built
     with pytest.raises(PreconditionError, match="bag independence"):
-        ind_to_tw(g, td, alpha - 1, cap=64)
+        run_pipeline(g, td, alpha - 1, 1, check_centred=False, cap=64)
     assert built == []
 
 
@@ -566,6 +627,24 @@ def test_row_fallback_reads_one_row_per_vertex_at_most(monkeypatch):
     h, _ = augment(path, single_bag_td(path), 60)
     assert h.m == 4170
     assert rows == list(range(1, 99))
+
+
+def test_power_graph_rows_skip_the_last_member(monkeypatch):
+    """Past the 56-level rule `near_pairs` reads no row for the last member,
+    whose pairs the earlier rows have all counted."""
+    rows = []
+    row = single_source_distances
+
+    def counting_row(g, source):
+        rows.append(source)
+        return row(g, source)
+
+    monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_row)
+    path = path_graph(300)
+    assert not path.fits(200)
+    pg = power_graph(path, 200, {1, 100, 300})
+    assert rows == [1, 100]
+    assert pg.n == 3 and pg.edges == {(1, 2), (2, 3)}
 
 
 def test_branch_width_skips_cuts_that_cannot_raise_it(monkeypatch):

@@ -387,21 +387,28 @@ def test_exact_partition_matches_layering_quality_or_better():
 def test_ind_to_tw_clique_bags():
     g = path_graph(5)
     h, _ = augment(g, p5_bags_td(), 2)
-    result = ind_to_tw(h, p5_bags_td(), 1)
+    result = ind_to_tw(h, p5_bags_td())
     assert result.decomposition.width <= 1
     assert validate_decomposition(result.map.target, result.decomposition).ok
 
 
 def test_ind_to_tw_k6_single_bag():
     g = complete_graph(6)
-    result = ind_to_tw(g, single_bag_td(g), 1)
+    result = ind_to_tw(g, single_bag_td(g))
     assert all(len(result.decomposition.bag(t)) <= 2 for t in result.decomposition.nodes)
 
 
 def test_ind_to_tw_precondition():
+    """The bag independence gate runs in run_pipeline when the centred
+    check is waived; ind_to_tw checks nothing, and an old positional k
+    fails loudly rather than becoming a budget."""
     g = cycle_graph(6)
-    with pytest.raises(PreconditionError):
-        ind_to_tw(g, single_bag_td(g), 1)  # alpha is 3
+    with pytest.raises(
+        PreconditionError, match="^bag independence number 3 exceeds 1$"
+    ):
+        run_pipeline(g, single_bag_td(g), 1, 1, check_centred=False)
+    with pytest.raises(TypeError):
+        ind_to_tw(g, single_bag_td(g), 1)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -746,6 +753,55 @@ def test_each_part_diameter_measured_once(monkeypatch):
     # both from the partition's cached diameters
     assert len(parts) == 75
     assert sorted(map(sorted, (part for _, part in calls))) == sorted(map(sorted, parts))
+
+
+def test_certificates_are_not_remeasured(monkeypatch):
+    """The sim-width route measures the weak diameter of the partition
+    parts only: its dominating-partition certificates are bounded by
+    construction."""
+    import coarsetd.graph
+    from coarsetd import simwidth_pipeline
+
+    calls = []
+    kernel = coarsetd.graph.weak_diameter
+
+    def counting(g, s):
+        calls.append(s)
+        return kernel(g, s)
+
+    _patch_everywhere(monkeypatch, kernel, counting)
+    inst = generate_corpus(
+        "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
+    )
+    report = simwidth_pipeline(inst.graph, inst.branch_decomposition, cap=64)
+    parts = report.pipeline.components[0].stage2.partition.parts
+    assert len(report.pipeline.components) == 1 and len(parts) == 2
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, parts))
+
+
+def test_checked_run_solves_no_bag_independence(monkeypatch):
+    """A passed centred check leaves every augmented bag k cliques, so the
+    independence gate runs only when the check is waived, and then solves
+    just the bags of more than k vertices."""
+    import coarsetd.pipeline
+    from coarsetd.generators import gen_ktree
+
+    inst = gen_ktree(2, 200, random.Random(0))
+    g, td = inst.graph, inst.decomposition
+    sizes = []
+    solve = coarsetd.pipeline.independent_mask
+
+    def counting(adj):
+        sizes.append(len(adj))
+        return solve(adj)
+
+    monkeypatch.setattr(coarsetd.pipeline, "independent_mask", counting)
+    checked = run_pipeline(g, td, 2, 1)
+    assert sizes == []
+    waived = run_pipeline(g, td, 2, 1, check_centred=False)
+    assert len(sizes) == 198
+    assert sizes == [len(td.bag(t)) for t in td.nodes if len(td.bag(t)) > 2]
+    assert checked.to_dict() == waived.to_dict()
 
 
 def test_connected_run_sweeps_the_quotient_once(monkeypatch):
