@@ -15,9 +15,11 @@ the masks for radius r take at most min(r, 2e) + 1 levels. One rule,
 `g.fits(r)`, caps them at 56 levels: n masks of up to n + 1 bits each, so
 56 levels stay within the 8 bytes per pair of an n x n table. A distance
 question at radius r reads the masks when g fits r, and otherwise one
-uncached BFS row (`single_source_distances`) per member. Rows walk a list
-of neighbour tuples, built by the first row and published whole like a
-mask level, and read their own visit list as the queue.
+uncached BFS row (`single_source_distances`) per member. A row may start
+from several vertices at once and then holds the distance to the nearest.
+Rows walk a list of neighbour tuples, built by the first row and
+published whole like a mask level, and read their own visit list as the
+queue.
 """
 
 from __future__ import annotations
@@ -143,16 +145,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def single_source_distances(g, source):
-    """BFS distances from one vertex, None where there is no path; index 0
-    is unused. The row is not cached; the neighbour tuples it walks are,
-    built by g's first row and published as one list."""
+def single_source_distances(g, *sources):
+    """BFS distances from the nearest of the given vertices (one or more),
+    None where there is no path; index 0 is unused. The row is not cached;
+    the neighbour tuples it walks are, built by g's first row and published
+    as one list."""
     nbrs = g._nbrs
     if nbrs is None:
         nbrs = g._nbrs = [()] + [tuple(g.adjacency[v]) for v in g.vertices]
     dist = [None] * (g.n + 1)
-    dist[source] = 0
-    queue = [source]
+    for s in sources:
+        dist[s] = 0
+    queue = list(sources)
     for u in queue:  # the visit list is the queue
         du = dist[u] + 1
         for w in nbrs[u]:
@@ -233,8 +237,9 @@ def weak_diameter(g, s):
         while ball[u] & target != target:
             if not g.fits(r + 1):
                 # earlier members reach the whole set within r; u and the
-                # later ones read one row each
-                for w in members[i:]:
+                # later ones read one row each but the last, whose distances
+                # are in those rows or at most r
+                for w in members[i:-1]:
                     row = single_source_distances(g, w)
                     dists = [row[v] for v in members]
                     if None in dists:

@@ -15,11 +15,23 @@ are reduced to a profile read from level masks: for each distance a in G,
 the smallest and largest distance b in H among pairs at distance a. The
 upper inequality binds at the largest b and the lower one at the
 smallest, so the profile forces the same q as the full pair set.
-Otherwise the pairs are streamed from BFS rows: one row of H per image
-vertex, read once through the map into the list of image distances of
-every G-vertex, then one row of G per member of that vertex's fibre,
-zipped with that list into the set of distinct pairs and dropped, so no
-distance table is held.
+
+Otherwise the pairs are streamed from BFS rows, fibre by fibre, and no
+distance table is held. G's vertices are listed fibre by fibre, and each
+pair is read once, at the earlier of its two fibres. For image vertex x,
+one row of H gives b = dist_H(x, phi(v)) for every v listed from that
+fibre on, which every member of the fibre of x shares, and one row of G
+from all the members at once gives near[v], the distance from the fibre
+to v. Each (near[v], b) is a real pair, and every member is at least
+near[v] from v, so these pairs settle the upper inequality exactly.
+Folded in, they also give the lower inequality's least slack,
+q * (q + b) - near[v]. Every member is within the fibre's diameter of
+the member nearest v, so when the members lie pairwise within the slack,
+no pair of the fibre can raise q. The test is a BFS capped at half the
+slack from the first member, or else one capped at the slack from each
+member but the last. A fibre that fails this test, and a fibre of one
+vertex, reads one row per member instead, each zipped with the same b
+into the set of distinct pairs.
 """
 
 from __future__ import annotations
@@ -74,7 +86,11 @@ def qi_constant(g, h, phi, qmax):
     """Minimal q <= qmax making phi a q-quasi-isometry, else NotWithinError.
 
     Integer arithmetic throughout: the lower inequality is checked as
-    dist_G <= q * dist_H + q^2.
+    dist_G <= q * dist_H + q^2. Where g or h does not fit every radius, G
+    is read by one multi-source row per fibre of phi; a fibre whose
+    members are too far apart for the slack that its row leaves the lower
+    inequality reads one row per member (see the module docstring), so
+    the constant is exact either way.
     """
     if qmax < 1:
         raise ValueError("qmax must be a positive integer")
@@ -86,29 +102,61 @@ def qi_constant(g, h, phi, qmax):
         raise InvalidMapError("graphs differ from the map's source and target")
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
+        q = max(1, cover)
     else:
-        img = [0] + [phi.mapping[v] for v in g.vertices]
+        # h is connected, so the sweep from the image reaches every vertex
+        q = max(1, *bfs(h.adjacency, phi.image()).values())
         fibres = {}
         for v in g.vertices:
-            fibres.setdefault(img[v], []).append(v)
-        pairs = set()
+            fibres.setdefault(phi.mapping[v], []).append(v)
+        # g's vertices fibre by fibre: the pairs of a vertex with the ones
+        # after it are read from its row or its fibre's row
+        order = [v for fibre in fibres.values() for v in fibre]
+        images = list(map(phi.mapping.__getitem__, order))
+        pairs, start = set(), 0
         for x, fibre in fibres.items():
-            # b_of[v] = dist_H(x, phi(v)): the b of every pair (u, v), u in the fibre
-            b_of = list(map(single_source_distances(h, x).__getitem__, img))
+            tail = order[start:]
+            # b_of[i] = dist_H(x, phi(tail[i])): the b of every pair
+            # (u, tail[i]) with u in the fibre
+            b_of = list(map(single_source_distances(h, x).__getitem__, images[start:]))
+            start += len(fibre)
+            if len(fibre) > 1:
+                row = single_source_distances(g, *fibre)
+                near = set(zip(map(row.__getitem__, tail), b_of))
+                q, slack = _fold(q, near)
+                # the members lie pairwise within slack: all within slack // 2
+                # of the first, or each within slack of the later ones
+                first = bfs(g.adjacency, fibre[:1], radius=slack // 2)
+                balls = (bfs(g.adjacency, [u], radius=slack) for u in fibre[:-1])
+                if all(w in first for w in fibre) or all(
+                    all(w in ball for w in fibre[i:]) for i, ball in enumerate(balls)
+                ):
+                    continue
             for u in fibre:
-                row_g = single_source_distances(g, u)
-                pairs.update(zip(row_g[u + 1:], b_of[u + 1:]))
-        # h is connected, so the sweep from the image reaches every vertex
-        cover = max(bfs(h.adjacency, phi.image()).values())
-    q = max(1, cover)
+                row = single_source_distances(g, u)
+                pairs.update(zip(map(row.__getitem__, tail), b_of))
+    q = _fold(q, pairs)[0]
+    if q > qmax:
+        raise NotWithinError(qmax)
+    return q
+
+
+def _fold(q, pairs):
+    """(q', slack): q' is the least q' >= q for which every pair (a, b) of
+    distances in G and in H meets both inequalities (each is monotone in
+    q); slack is the least of q'^2 and q' * (q' + b) - a over the pairs,
+    how much further apart in G than a the lower inequality lets them be."""
+    q0, worst = q, 0
     for a, b in pairs:
         if b > q * (a + 1):  # upper: b <= q * (a + 1)
             q = -(-b // (a + 1))
         while q * (q + b) < a:  # lower: a <= q * (q + b)
             q += 1
-    if q > qmax:
-        raise NotWithinError(qmax)
-    return q
+        if a - q * b > worst:
+            worst = a - q * b
+    if q != q0:  # the earlier pairs were weighed at a smaller q
+        worst = max(0, *[a - q * b for a, b in pairs])
+    return q, q * q - worst
 
 
 def _profile(g, h, phi):

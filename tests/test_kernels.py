@@ -14,14 +14,15 @@ import random
 import sys
 import threading
 from math import inf
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import coarsetd.graph
 import coarsetd.pipeline
+import coarsetd.quasiiso
 import coarsetd.simwidth
 from coarsetd import (
     CoarseTDError,
@@ -67,7 +68,7 @@ from coarsetd.generators import (
     gen_random_tree,
     gen_subdivided_ktree,
 )
-from coarsetd.graph import single_source_distances, sweep_path
+from coarsetd.graph import bfs, single_source_distances, sweep_path
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph, single_bag_td
 from oracles import (
@@ -592,6 +593,97 @@ def test_sweep_path_is_the_tree_path(n, seed, data):
     assert sweep_path(fresh(tree), a, b) == up_a + up_b[-2::-1]
 
 
+@st.composite
+def fibred_maps(draw):
+    """Connected g and h and a map of g onto at most three vertices of h,
+    so that fibres have several members, some of them far apart."""
+    g = draw(family_graphs().filter(Graph.is_connected))
+    h = draw(family_graphs().filter(Graph.is_connected))
+    targets = draw(st.lists(st.sampled_from(list(h.vertices)), min_size=1, max_size=3))
+    images = draw(st.lists(st.sampled_from(targets), min_size=g.n, max_size=g.n))
+    return g, h, dict(zip(g.vertices, images))
+
+
+def fibre_rows(monkeypatch, g, mapping):
+    """Record the sources of every row that qi_constant reads of g; returns
+    (rows, fibres), fibres the members of each image vertex in order."""
+    rows = []
+    row = single_source_distances
+
+    def counting_row(x, *sources):
+        if x is g:
+            rows.append(sources)
+        return row(x, *sources)
+
+    monkeypatch.setattr(coarsetd.quasiiso, "single_source_distances", counting_row)
+    fibres = {}
+    for v in g.vertices:
+        fibres.setdefault(mapping[v], []).append(v)
+    return rows, fibres
+
+
+@given(fibred_maps(), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_fibre_rows_give_the_oracle_constant(maps, qmax):
+    """One row per fibre, and per-member rows for a fibre whose members lie
+    too far apart, give both kernels' constant and the oracle's."""
+    g, h, mapping = maps
+
+    def call(src, dst):
+        return qi_constant(src, dst, QuasiIsometryMap(src, dst, mapping), qmax)
+
+    got = both_kernels(lambda: (fresh(g), fresh(h)), call)
+    want = qi_constant_brute(g, h, mapping, qmax)
+    if want is None:
+        want = (NotWithinError, str(NotWithinError(qmax)))
+    assert got[0] == got[1] == want
+    x, spy = fresh(g), Mock(side_effect=single_source_distances)
+    with patch.object(coarsetd.quasiiso, "single_source_distances", spy):
+        with patch.object(Graph, "fits", lambda self, r: False):
+            try:
+                call(x, fresh(h))
+            except NotWithinError:
+                pass
+    shared = [c.args[1] for c in spy.call_args_list if c.args[0] is x and len(c.args) == 2]
+    shared = [v for v in shared if list(mapping.values()).count(mapping[v]) > 1]
+    event(f"per-member rows: {bool(shared)}")
+
+
+@pytest.mark.parametrize("k, n, s", [(1, 30, 1), (1, 30, 2), (2, 40, 1), (2, 30, 2)])
+def test_pullback_shape_reads_one_row_per_fibre(monkeypatch, k, n, s):
+    """On a path-layout subdivided k-tree under its natural map every fibre
+    passes the fibre test: g is read once per fibre, from all its members,
+    and never one member at a time."""
+    inst = gen_subdivided_ktree(k, n, s, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    want = qi_constant_brute(g, h, phi.mapping, g.n)
+    rows, fibres = fibre_rows(monkeypatch, g, phi.mapping)
+    assert max(map(len, fibres.values())) > 1
+    with patch.object(Graph, "fits", lambda self, r: False):
+        assert qi_constant(g, h, phi, g.n) == want == s + 1
+    assert sorted(rows) == sorted(map(tuple, fibres.values()))
+
+
+def test_a_far_member_sends_its_fibre_to_member_rows(monkeypatch):
+    """Re-map one subdivision vertex to a branch vertex three hops from its
+    image: its new fibre fails the fibre test and reads one row per member;
+    every other fibre reads one row, and q is the oracle's."""
+    inst = gen_subdivided_ktree(1, 30, 1, random.Random(0), "path")
+    g, h = inst.graph, inst.base_graph
+    mapping = dict(inst.qi_map.mapping)
+    w = h.n + 1  # the first subdivision vertex
+    y = min(x for x, depth in bfs(h.adjacency, [mapping[w]]).items() if depth == 3)
+    mapping[w] = y
+    rows, fibres = fibre_rows(monkeypatch, g, mapping)
+    with patch.object(Graph, "fits", lambda self, r: False):
+        q = qi_constant(g, h, QuasiIsometryMap(g, h, mapping), g.n)
+    assert q == qi_constant_brute(g, h, mapping, g.n) == 3
+    assert sorted(rows) == sorted(
+        [tuple(f) for f in fibres.values()] + [(u,) for u in fibres[y]]
+    )
+    assert len(fibres[y]) > 1
+
+
 @given(family_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sweep_path_is_the_scan_rule(g, data):
@@ -645,6 +737,27 @@ def test_power_graph_rows_skip_the_last_member(monkeypatch):
     pg = power_graph(path, 200, {1, 100, 300})
     assert rows == [1, 100]
     assert pg.n == 3 and pg.edges == {(1, 2), (2, 3)}
+
+
+def test_weak_diameter_rows_skip_the_last_member(monkeypatch):
+    """Past the 56-level rule `weak_diameter` reads no row for the last
+    member: its distances to the others are in their rows."""
+    rows = []
+    row = single_source_distances
+
+    def counting_row(g, source):
+        rows.append(source)
+        return row(g, source)
+
+    monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_row)
+    path = path_graph(300)
+    assert not path.fits(56)
+    assert weak_diameter(path, {1, 100, 300}) == 299
+    assert rows == [1, 100]
+    rows.clear()
+    two = Graph(600, [(v, v + 1) for v in range(1, 600) if v != 300])
+    assert weak_diameter(two, {1, 100, 600}) is None
+    assert rows == [1]
 
 
 def test_branch_width_skips_cuts_that_cannot_raise_it(monkeypatch):

@@ -199,9 +199,9 @@ def test_pipeline_d1_row_builds(monkeypatch):
     original = coarsetd.graph.single_source_distances
     rows = []
 
-    def building(graph, source):
-        row = Row(original(graph, source))
-        rows.append(weakref.ref(row))
+    def building(graph, *sources):
+        row = Row(original(graph, *sources))
+        rows.append((graph, sources, weakref.ref(row)))
         return row
 
     _patch_everywhere(monkeypatch, original, building)
@@ -219,12 +219,22 @@ def test_pipeline_d1_row_builds(monkeypatch):
             assert rows == []
         else:
             # g is too deep for masks at every radius, so qi_constant
-            # streams one row per vertex of g and of the quotient
+            # streams one row of the quotient per quotient vertex and one
+            # row of g per fibre, from all its members at once; every
+            # fibre of the layered map passes the fibre test, so no
+            # per-member row is read
             assert not g.fits(inf)
-            assert len(rows) == g.n + quotient.n
+            fibres = {}
+            for v, x in report.components[0].stage2.map.mapping.items():
+                fibres.setdefault(x, []).append(v)
+            assert len(rows) == 2 * quotient.n == 62
+            assert sorted(s for x, s, _ in rows if x is quotient) == [
+                (x,) for x in quotient.vertices
+            ]
+            assert sorted(s for x, s, _ in rows if x is g) == sorted(map(tuple, fibres.values()))
             # and keeps none of them
             gc.collect()
-            assert all(ref() is None for ref in rows)
+            assert all(ref() is None for _, _, ref in rows)
 
 
 D1_PARAMS = {

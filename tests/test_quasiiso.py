@@ -156,6 +156,18 @@ def test_matches_brute_force():
     assert len(seen) == 10
 
 
+def test_fold_weighs_every_pair_at_the_final_constant():
+    """The slack that decides a fibre's test is read at the q the fold
+    ends on, not at the smaller q that an earlier pair saw."""
+    from coarsetd.quasiiso import _fold
+
+    # (10, 2) raises q to 3, with slack 15 - 10; (0, 9) raises it to 9, at
+    # which the slacks are 99 - 10 and 162, so q^2 = 81 is the least
+    assert _fold(1, [(10, 2), (0, 9)]) == (9, 81)
+    assert _fold(1, [(0, 0), (4, 1)]) == (2, 2)
+    assert _fold(3, []) == (3, 9)
+
+
 def test_solved_constant_is_the_least_budget_that_passes():
     from coarsetd.generators import random_connected_graph
 
