@@ -31,7 +31,23 @@ no pair of the fibre can raise q. The test is a BFS capped at half the
 slack from the first member, or else one capped at the slack from each
 member but the last. A fibre that fails this test, and a fibre of one
 vertex, reads one row per member instead, each zipped with the same b
-into the set of distinct pairs.
+into the set of distinct pairs. The slack only grows with q, so a fibre
+that fails at the q folded so far is tested again once every fibre's row
+is read, and reads member rows only if it fails then too.
+
+`pullback_decomposition` needs only to know that phi is a c-quasi-
+isometry, and first tries a certificate that reads no row. Suppose phi
+is onto (coverage radius 0), maps each edge of G to a vertex or an edge
+of H (so dist_H <= dist_G), every fibre has weak diameter at most
+D <= c^2, and there are potentials p(w) in 0..c^2 - D such that for each
+w and each neighbour y of phi(w) some w' in the fibre of y has
+dist_G(w, w') + p(w') <= c + p(w). Lifting a geodesic of H from phi(u)
+to phi(v) one fibre at a time gives a walk in G whose steps telescope to
+dist_G(u, w) <= c * dist_H(phi(u), phi(v)) + p(u) for some w in the fibre
+of phi(v), so dist_G(u, v) <= c * dist_H + p(u) + D <= c * dist_H + c^2.
+The least potentials come from value iteration from 0, with distances
+read off G's level masks at radii up to c + c^2; where the certificate
+fails, the constant is measured as above.
 """
 
 from __future__ import annotations
@@ -92,6 +108,12 @@ def qi_constant(g, h, phi, qmax):
     inequality reads one row per member (see the module docstring), so
     the constant is exact either way.
     """
+    return _solve(g, h, phi, qmax, _fibres(g, h, phi, qmax))
+
+
+def _fibres(g, h, phi, qmax):
+    """Check qi_constant's inputs; return phi's fibres, image vertex ->
+    members in increasing order, the images in order of first member."""
     if qmax < 1:
         raise ValueError("qmax must be a positive integer")
     if g.n == 0 or h.n == 0:
@@ -100,45 +122,73 @@ def qi_constant(g, h, phi, qmax):
         raise DisconnectedError("quasi-isometry operations need connected graphs")
     if g != phi.source or h != phi.target:
         raise InvalidMapError("graphs differ from the map's source and target")
+    fibres = {}
+    for v in g.vertices:
+        fibres.setdefault(phi.mapping[v], []).append(v)
+    return fibres
+
+
+def _solve(g, h, phi, qmax, fibres):
+    """qi_constant on checked inputs, given phi's fibres."""
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
-        q = max(1, cover)
+        q = _fold(max(1, cover), pairs)[0]
     else:
         # h is connected, so the sweep from the image reaches every vertex
         q = max(1, *bfs(h.adjacency, phi.image()).values())
-        fibres = {}
-        for v in g.vertices:
-            fibres.setdefault(phi.mapping[v], []).append(v)
         # g's vertices fibre by fibre: the pairs of a vertex with the ones
         # after it are read from its row or its fibre's row
         order = [v for fibre in fibres.values() for v in fibre]
         images = list(map(phi.mapping.__getitem__, order))
-        pairs, start = set(), 0
+
+        def b_of(x, start):
+            """dist_H(x, phi(v)) for each v of order[start:]: the b of every
+            pair (u, v) with u in the fibre of x."""
+            return list(map(single_source_distances(h, x).__getitem__, images[start:]))
+
+        pairs, start, later = set(), 0, []
         for x, fibre in fibres.items():
-            tail = order[start:]
-            # b_of[i] = dist_H(x, phi(tail[i])): the b of every pair
-            # (u, tail[i]) with u in the fibre
-            b_of = list(map(single_source_distances(h, x).__getitem__, images[start:]))
-            start += len(fibre)
+            tail, bs = order[start:], b_of(x, start)
             if len(fibre) > 1:
                 row = single_source_distances(g, *fibre)
-                near = set(zip(map(row.__getitem__, tail), b_of))
+                near = set(zip(map(row.__getitem__, tail), bs))
                 q, slack = _fold(q, near)
-                # the members lie pairwise within slack: all within slack // 2
-                # of the first, or each within slack of the later ones
-                first = bfs(g.adjacency, fibre[:1], radius=slack // 2)
-                balls = (bfs(g.adjacency, [u], radius=slack) for u in fibre[:-1])
-                if all(w in first for w in fibre) or all(
-                    all(w in ball for w in fibre[i:]) for i, ball in enumerate(balls)
-                ):
-                    continue
-            for u in fibre:
-                row = single_source_distances(g, u)
-                pairs.update(zip(map(row.__getitem__, tail), b_of))
-    q = _fold(q, pairs)[0]
+                if not _close(g, fibre, slack):
+                    later.append((x, start, near))
+            else:
+                _member_pairs(g, fibre, tail, bs, pairs)
+            start += len(fibre)
+        q = _fold(q, pairs)[0]
+        # the slack only grows with q, so a fibre that failed at the q folded
+        # so far is tested again at the q of every row read since. Widest
+        # slack first: a fibre that fails even so has members far apart, and
+        # its rows are the likeliest to raise q for the rest
+        later.sort(key=lambda f: _fold(q, f[2])[1], reverse=True)
+        for x, start, near in later:
+            if not _close(g, fibres[x], _fold(q, near)[1]):
+                _member_pairs(g, fibres[x], order[start:], b_of(x, start), pairs)
+                q = _fold(q, pairs)[0]
     if q > qmax:
         raise NotWithinError(qmax)
     return q
+
+
+def _close(g, fibre, slack):
+    """True when the members of the fibre lie pairwise within slack: all
+    within slack // 2 of the first, or each within slack of the later ones."""
+    first = bfs(g.adjacency, fibre[:1], radius=slack // 2)
+    if all(w in first for w in fibre):
+        return True
+    balls = (bfs(g.adjacency, [u], radius=slack) for u in fibre[:-1])
+    return all(all(w in ball for w in fibre[i:]) for i, ball in enumerate(balls))
+
+
+def _member_pairs(g, fibre, tail, bs, pairs):
+    """Add to pairs each (dist_G(u, tail[i]), bs[i]) for u in the fibre,
+    from one row per member."""
+    for u in fibre:
+        row = single_source_distances(g, u)
+        pairs.update(zip(map(row.__getitem__, tail), bs))
 
 
 def _fold(q, pairs):
@@ -237,20 +287,67 @@ def pullback_decomposition(g, h, phi, td_h, c):
     old bag's members x, of the set of g-vertices whose image lies within
     distance c of x. The result is a decomposition of g whose bags split
     into at most td_h.width + 1 pieces of weak diameter at most 3c^2.
+    phi is checked by the certificate of the module docstring, or where
+    that fails by measuring its constant.
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
-    qi_constant(g, h, phi, c)  # checks the inputs; NotWithinError if not a c-qi
+    fibres = _fibres(g, h, phi, c)
+    if not _lifts(g, h, fibres, c):
+        _solve(g, h, phi, c, fibres)  # NotWithinError if not a c-qi
     require_valid(h, td_h, "host decomposition")
-    by_image = {}
-    for v in g.vertices:
-        by_image.setdefault(phi.mapping[v], []).append(v)
     # td_h is valid, so every vertex of h lies in some bag
     balls = {
-        x: [v for y in bfs(h.adjacency, [x], radius=c) for v in by_image.get(y, ())]
+        x: [v for y in bfs(h.adjacency, [x], radius=c) for v in fibres.get(y, ())]
         for x in h.vertices
     }
     bags = {
         t: frozenset(v for x in td_h.bag(t) for v in balls[x]) for t in td_h.nodes
     }
     return TreeDecomposition(td_h.tree, bags, shape=td_h.shape)
+
+
+def _lifts(g, h, fibres, c):
+    """True only when the map with these fibres is surely a c-quasi-isometry,
+    by the certificate of the module docstring: read off g's level masks at
+    radii up to c + c^2, with no distance row. False says nothing."""
+    top = c * c
+    if len(fibres) < h.n or not g.fits(c + top):
+        return False
+    image = [0] * (g.n + 1)
+    for x, fibre in fibres.items():
+        for v in fibre:
+            image[v] = x
+    adj = h.adjacency
+    if any(image[u] != image[v] and image[v] not in adj[image[u]] for u, v in g.edges):
+        return False
+    d, level = 0, g.balls(0)  # d: the largest weak diameter of a fibre
+    for fibre in fibres.values():
+        mask = sum(1 << v for v in fibre)
+        for u in fibre:
+            while level[u] & mask != mask:
+                if d == top:
+                    return False
+                d += 1
+                level = g.balls(d)
+    # the least potentials, by value iteration from 0; y's fibre is grouped
+    # by potential, so each radius tests one mask per group
+    levels = [g.balls(r) for r in range(c + top - d + 1)]
+    p, changed = [0] * (g.n + 1), True
+    while changed:
+        changed = False
+        for x, fibre in fibres.items():
+            for y in adj[x]:
+                groups = {}
+                for v in fibres[y]:
+                    groups[p[v]] = groups.get(p[v], 0) | 1 << v
+                for w in fibre:
+                    while not any(
+                        levels[c + p[w] - pv][w] & mask
+                        for pv, mask in groups.items() if pv <= c + p[w]
+                    ):
+                        if p[w] == top - d:
+                            return False
+                        p[w] += 1
+                        changed = True
+    return True

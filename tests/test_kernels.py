@@ -684,6 +684,25 @@ def test_a_far_member_sends_its_fibre_to_member_rows(monkeypatch):
     assert len(fibres[y]) > 1
 
 
+def test_a_fibre_that_fails_early_is_tested_again_at_the_final_constant(monkeypatch):
+    """Fibre 5 fails its test at the q folded when it is read (2), but
+    passes at the final q (3) that the re-mapped fibre's member rows force:
+    it is tested again after every fibre's row and reads no member row."""
+    inst = gen_subdivided_ktree(2, 40, 1, random.Random(0), "path")
+    g, h = inst.graph, inst.base_graph
+    mapping = dict(inst.qi_map.mapping)
+    w = h.n + 1
+    y = min(x for x, depth in bfs(h.adjacency, [mapping[w]]).items() if depth == 3)
+    mapping[w] = y
+    rows, fibres = fibre_rows(monkeypatch, g, mapping)
+    assert fibres[5] == [5, 49, 50]
+    with patch.object(Graph, "fits", lambda self, r: False):
+        q = qi_constant(g, h, QuasiIsometryMap(g, h, mapping), g.n)
+    assert q == qi_constant_brute(g, h, mapping, g.n) == 3
+    members = [r for r in rows if len(r) == 1 and len(fibres[mapping[r[0]]]) > 1]
+    assert members == [(u,) for u in fibres[y]]
+
+
 @given(family_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sweep_path_is_the_scan_rule(g, data):

@@ -1,6 +1,11 @@
 import random
+from math import inf
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
+
+import coarsetd.graph
+import coarsetd.quasiiso
 
 from coarsetd import (
     CompositionMismatchError,
@@ -21,6 +26,9 @@ from coarsetd import (
     validate_decomposition,
     weak_diameter,
 )
+from coarsetd.generators import gen_subdivided_ktree, random_connected_graph
+from coarsetd.graph import bfs, single_source_distances
+from coarsetd.quasiiso import _fibres, _lifts
 from helpers import cycle_graph, path_graph
 from oracles import distance_rows, qi_constant_brute
 
@@ -370,3 +378,170 @@ def test_pullback_preserves_shape():
     )
     out = pullback_decomposition(g, g, identity_map(g, g), td_h, 1)
     assert out.shape == "path"
+
+
+@st.composite
+def perturbed_subdivisions(draw):
+    """A subdivided k-tree (k, s <= 2) under its natural map, with up to two
+    vertices re-mapped to a neighbour of their image."""
+    k, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n = draw(st.integers(k + 1, 10))
+    layout = draw(st.sampled_from(["path", "random"]))
+    inst = gen_subdivided_ktree(k, n, s, random.Random(draw(st.integers(0, 999))), layout)
+    g, h = inst.graph, inst.base_graph
+    mapping = dict(inst.qi_map.mapping)
+    for v in draw(st.lists(st.sampled_from(list(g.vertices)), max_size=2)):
+        mapping[v] = draw(st.sampled_from(sorted(h.adjacency[mapping[v]])))
+    return g, h, mapping
+
+
+@st.composite
+def cluster_maps(draw):
+    """A random connected graph mapped onto its quotient by clusters: each
+    vertex goes to its nearest centre, or, for scattered clusters, to a
+    drawn label."""
+    g = random_connected_graph(
+        draw(st.integers(1, 16)), draw(st.sampled_from([0.1, 0.3])),
+        random.Random(draw(st.integers(0, 999))),
+    )
+    if draw(st.booleans()):
+        centres = draw(st.lists(st.sampled_from(list(g.vertices)), min_size=1, max_size=5))
+        dg = distance_rows(g)
+        labels = [min(centres, key=lambda x: (dg[v][x], x)) for v in g.vertices]
+    else:
+        labels = draw(st.lists(st.integers(1, 5), min_size=g.n, max_size=g.n))
+    ids = {}
+    mapping = {v: ids.setdefault(x, len(ids) + 1) for v, x in zip(g.vertices, labels)}
+    h = Graph(len(ids), [(mapping[u], mapping[v]) for u, v in g.edges if mapping[u] != mapping[v]])
+    return g, h, mapping
+
+
+@st.composite
+def onto_maps(draw):
+    """A random map of a random connected graph onto a smaller one."""
+    rng = random.Random(draw(st.integers(0, 999)))
+    g = random_connected_graph(draw(st.integers(2, 8)), 0.3, rng)
+    h = random_connected_graph(draw(st.integers(2, g.n)), 0.3, rng)
+    mapping = {v: rng.randint(1, h.n) for v in g.vertices}
+    mapping.update(zip(rng.sample(list(g.vertices), h.n), h.vertices))
+    return g, h, mapping
+
+
+@given(st.one_of(perturbed_subdivisions(), cluster_maps(), onto_maps()), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_lifts_passes_only_quasi_isometries(maps, c):
+    """Whenever the row-free certificate passes, the oracle's constant is at
+    most c."""
+    g, h, mapping = maps
+    passed = _lifts(g, h, _fibres(g, h, QuasiIsometryMap(g, h, mapping), c), c)
+    event(f"certificate passes: {passed}")
+    if passed:
+        assert qi_constant_brute(g, h, mapping, c) is not None
+
+
+def test_lifts_needs_each_edge_to_map_within_one_step():
+    """Edge 1-2 of g maps to the ends of h's path 1-4-3-2, and the map is
+    not a 1-quasi-isometry; every other condition of the certificate holds
+    at c = 1."""
+    g = Graph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    h = Graph(4, [(1, 4), (4, 3), (3, 2)])
+    mapping = {1: 1, 2: 2, 3: 4, 4: 3}
+    assert qi_constant_brute(g, h, mapping, 1) is None
+    assert not _lifts(g, h, _fibres(g, h, QuasiIsometryMap(g, h, mapping), 1), 1)
+
+
+def count_rows(monkeypatch):
+    """Record the sources of every BFS row read, through either module."""
+    rows = []
+
+    def counting(g, *sources):
+        rows.append(sources)
+        return single_source_distances(g, *sources)
+
+    for module in (coarsetd.graph, coarsetd.quasiiso):
+        monkeypatch.setattr(module, "single_source_distances", counting)
+    return rows
+
+
+def count_solves(monkeypatch):
+    """Record every exact measurement that pullback_decomposition falls back to."""
+    solves = []
+    solve = coarsetd.quasiiso._solve
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(coarsetd.quasiiso, "_solve", counting)
+    return solves
+
+
+def ball_unions(g, h, mapping, td_h, c):
+    """The pulled-back bags, from the oracle rows of h."""
+    dh = distance_rows(h)
+    return {
+        t: frozenset(v for v in g.vertices for x in td_h.bag(t) if dh[mapping[v]][x] <= c)
+        for t in td_h.nodes
+    }
+
+
+@pytest.mark.parametrize("k, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_natural_subdivision_map_lifts_at_s_plus_one(monkeypatch, k, s):
+    """The benchmark's shape: a subdivided path-layout k-tree under its
+    natural map, an exact (s+1)-quasi-isometry. The certificate passes at
+    c = s + 1 and fails at c = s, and the pullback at s + 1 reads no BFS
+    row and measures no constant."""
+    inst = gen_subdivided_ktree(k, 300 // (1 + k * s), s, random.Random(k * 10 + s), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    assert not g.fits(inf)  # qi_constant would stream rows here
+    fibres = _fibres(g, h, phi, s + 1)
+    assert _lifts(g, h, fibres, s + 1) and not _lifts(g, h, fibres, s)
+    rows, solves = count_rows(monkeypatch), count_solves(monkeypatch)
+    out = pullback_decomposition(g, h, phi, inst.base_decomposition, s + 1)
+    assert rows == [] and solves == []
+    td_h = inst.base_decomposition
+    assert out.bags == ball_unions(g, h, phi.mapping, td_h, s + 1)
+
+
+def far_member_map():
+    """A subdivided path with one subdivision vertex re-mapped to a branch
+    vertex three hops from its image: a 3-quasi-isometry whose re-mapped
+    edges join images three apart, so the certificate cannot pass."""
+    inst = gen_subdivided_ktree(1, 30, 1, random.Random(0), "path")
+    g, h = inst.graph, inst.base_graph
+    mapping = dict(inst.qi_map.mapping)
+    w = h.n + 1
+    mapping[w] = min(x for x, depth in bfs(h.adjacency, [mapping[w]]).items() if depth == 3)
+    return g, h, QuasiIsometryMap(g, h, mapping), inst.base_decomposition
+
+
+def test_pullback_measures_a_map_the_certificate_rejects(monkeypatch):
+    g, h, phi, td_h = far_member_map()
+    assert qi_constant_brute(g, h, phi.mapping, 10) == 3
+    assert not _lifts(g, h, _fibres(g, h, phi, 3), 3)
+    solves = count_solves(monkeypatch)
+    out = pullback_decomposition(g, h, phi, td_h, 3)
+    assert len(solves) == 1
+    assert out.bags == ball_unions(g, h, phi.mapping, td_h, 3)
+    assert out.tree == td_h.tree and out.shape == td_h.shape
+
+
+def test_pullback_below_the_constant_raises_the_measured_error():
+    g, h, phi, td_h = far_member_map()
+    with pytest.raises(NotWithinError) as raised:
+        pullback_decomposition(g, h, phi, td_h, 2)
+    assert str(raised.value) == str(NotWithinError(2)) and raised.value.qmax == 2
+
+
+def test_pullback_measures_a_map_that_is_not_onto(monkeypatch):
+    g, h = path_graph(5), path_graph(7)
+    phi = identity_map(g, h)  # 6 and 7 are not in the image: coverage radius 2
+    td_h = TreeDecomposition(
+        path_graph(6), {t: {t, t + 1} for t in range(1, 7)}, shape="path"
+    )
+    solves = count_solves(monkeypatch)
+    out = pullback_decomposition(g, h, phi, td_h, 2)
+    assert len(solves) == 1
+    assert out.bags == ball_unions(g, h, phi.mapping, td_h, 2)
+    with pytest.raises(NotWithinError, match="q <= 1 satisfies"):
+        pullback_decomposition(g, h, phi, td_h, 1)
