@@ -48,13 +48,21 @@ of phi(v), so dist_G(u, v) <= c * dist_H + p(u) + D <= c * dist_H + c^2.
 The least potentials come from value iteration from 0, with distances
 read off G's level masks at radii up to c + c^2; where the certificate
 fails, the constant is measured as above.
+
+The measurement tries the certificate too, before it streams a row. Two
+members of one fibre lie at distance 0 in H, so a fibre of weak diameter
+D forces D <= q^2, and q is at least lo = max(1, ceil(sqrt(D))). Where
+the certificate holds at c = lo, q <= lo as well, so q = lo exactly. D
+is read off G's level masks only for a map that is onto and sends each
+edge to a vertex or an edge, and only up to the largest c^2 at which G
+fits the certificate's radius c + c^2.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from math import inf
+from math import inf, isqrt
 
 from .decomposition import TreeDecomposition, require_valid
 from .errors import (
@@ -65,7 +73,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import bfs, single_source_distances, spread
+from .graph import MASK_LEVELS, bfs, single_source_distances, spread
 
 
 @dataclass(frozen=True)
@@ -102,11 +110,12 @@ def qi_constant(g, h, phi, qmax):
     """Minimal q <= qmax making phi a q-quasi-isometry, else NotWithinError.
 
     Integer arithmetic throughout: the lower inequality is checked as
-    dist_G <= q * dist_H + q^2. Where g or h does not fit every radius, G
-    is read by one multi-source row per fibre of phi; a fibre whose
-    members are too far apart for the slack that its row leaves the lower
-    inequality reads one row per member (see the module docstring), so
-    the constant is exact either way.
+    dist_G <= q * dist_H + q^2. Where g or h does not fit every radius,
+    the floor that phi's widest fibre sets is the constant if the lifting
+    certificate holds at it; otherwise G is read by one multi-source row
+    per fibre of phi, and a fibre whose members are too far apart for the
+    slack that its row leaves the lower inequality reads one row per
+    member (see the module docstring), so the constant is exact either way.
     """
     return _solve(g, h, phi, qmax, _fibres(g, h, phi, qmax))
 
@@ -133,8 +142,12 @@ def _solve(g, h, phi, qmax, fibres):
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
         q = _fold(max(1, cover), pairs)[0]
-    else:
-        # h is connected, so the sweep from the image reaches every vertex
+    elif (q := _floor(g, h, fibres)) is None or (
+        q <= qmax and not _lifts(g, h, fibres, q)
+    ):
+        # a floor past qmax is refused, and one the certificate holds at is
+        # the constant; else the pairs are streamed. h is connected, so the
+        # sweep from the image reaches every vertex
         q = max(1, *bfs(h.adjacency, phi.image()).values())
         # g's vertices fibre by fibre: the pairs of a vertex with the ones
         # after it are read from its row or its fibre's row
@@ -171,6 +184,19 @@ def _solve(g, h, phi, qmax, fibres):
     if q > qmax:
         raise NotWithinError(qmax)
     return q
+
+
+def _floor(g, h, fibres):
+    """The least q with q^2 at least every fibre's weak diameter (two
+    members of a fibre lie 0 apart in h), or None where it is not read:
+    where the certificate cannot hold, for want of its first two
+    conditions or past the largest square c^2 at which g fits its radius
+    c + c^2."""
+    tops = [c * c for c in range(1, MASK_LEVELS) if g.fits(c + c * c)]
+    if not tops or not _steps(g, h, fibres):
+        return None
+    d = _diameter(g, fibres, tops[-1])
+    return None if d is None else 1 + isqrt(max(d - 1, 0))
 
 
 def _close(g, fibre, slack):
@@ -312,24 +338,12 @@ def _lifts(g, h, fibres, c):
     by the certificate of the module docstring: read off g's level masks at
     radii up to c + c^2, with no distance row. False says nothing."""
     top = c * c
-    if len(fibres) < h.n or not g.fits(c + top):
+    if not g.fits(c + top) or not _steps(g, h, fibres):
         return False
-    image = [0] * (g.n + 1)
-    for x, fibre in fibres.items():
-        for v in fibre:
-            image[v] = x
+    d = _diameter(g, fibres, top)
+    if d is None:
+        return False
     adj = h.adjacency
-    if any(image[u] != image[v] and image[v] not in adj[image[u]] for u, v in g.edges):
-        return False
-    d, level = 0, g.balls(0)  # d: the largest weak diameter of a fibre
-    for fibre in fibres.values():
-        mask = sum(1 << v for v in fibre)
-        for u in fibre:
-            while level[u] & mask != mask:
-                if d == top:
-                    return False
-                d += 1
-                level = g.balls(d)
     # the least potentials, by value iteration from 0; y's fibre is grouped
     # by potential, so each radius tests one mask per group
     levels = [g.balls(r) for r in range(c + top - d + 1)]
@@ -351,3 +365,31 @@ def _lifts(g, h, fibres, c):
                         p[w] += 1
                         changed = True
     return True
+
+
+def _steps(g, h, fibres):
+    """True when the map with these fibres is onto and sends each edge of g
+    to a vertex or an edge of h: the certificate's first two conditions."""
+    if len(fibres) < h.n:
+        return False
+    image = [0] * (g.n + 1)
+    for x, fibre in fibres.items():
+        for v in fibre:
+            image[v] = x
+    adj = h.adjacency
+    return all(image[u] == image[v] or image[v] in adj[image[u]] for u, v in g.edges)
+
+
+def _diameter(g, fibres, top):
+    """The largest weak diameter of a fibre, read off g's level masks, or
+    None where it exceeds top; g is connected and fits top."""
+    d, level = 0, g.balls(0)
+    for fibre in fibres.values():
+        mask = sum(1 << v for v in fibre)
+        for u in fibre:
+            while level[u] & mask != mask:
+                if d == top:
+                    return None
+                d += 1
+                level = g.balls(d)
+    return d

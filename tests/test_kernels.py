@@ -1,7 +1,8 @@
 """The kernels against their slow paths. The two distance kernels: level
 masks where `Graph.fits` allows them, uncached BFS rows elsewhere; every
-answer must be the same whichever kernel gives it, and the same as the
-oracle rows, which relax the edge set and share no code with either. The
+answer must be the same whichever kernel gives it, or the mix that a long
+graph reads (masks at small radii only), and the same as the oracle
+rows, which relax the edge set and share no code with either. The
 exact bitmask solvers on masks built straight from the host graph: the
 same witnesses as the Graph solvers on the induced subgraph, and the
 sizes of the brute-force oracles; the dominating-partition certificates
@@ -133,12 +134,19 @@ def inputs(draw):
     return Graph(g.n + other.n, edges)
 
 
-def both_kernels(make, call):
-    """call(*make()) with the masks forced, then with the rows forced, each
-    on fresh graphs; a CoarseTDError counts as its type and message."""
+# Graph.fits in each regime: masks at every radius; masks below radius 7
+# only, as on a graph too long for every radius, with the 56-level rule cut
+# to 7 so that small graphs meet both sides of its limit (the certificate
+# at c <= 2, so floors of fibre diameter <= 4); rows at every radius
+REGIMES = (lambda self, r: True, lambda self, r: r < 7, lambda self, r: False)
+
+
+def each_regime(make, call):
+    """call(*make()) in each regime of REGIMES, each on fresh graphs; a
+    CoarseTDError counts as its type and message."""
     out = []
-    for fits in (True, False):
-        with patch.object(Graph, "fits", lambda self, r, fits=fits: fits):
+    for fits in REGIMES:
+        with patch.object(Graph, "fits", fits):
             args = make()
             try:
                 out.append(call(*args))
@@ -175,16 +183,16 @@ def test_kernels_agree_on_local_questions(g, d, data):
         return dm[u][v] is not None and dm[u][v] <= d
 
     vs = sorted(members)
-    power = both_kernels(lambda: (fresh(g),), lambda x: power_graph(x, d, members))
-    assert power[0] == power[1] == Graph(len(vs), [
+    power = each_regime(lambda: (fresh(g),), lambda x: power_graph(x, d, members))
+    assert power[0] == power[1] == power[2] == Graph(len(vs), [
         (i + 1, j + 1)
         for i in range(len(vs)) for j in range(i + 1, len(vs)) if near(vs[i], vs[j])
     ])
-    diam = both_kernels(lambda: (fresh(g),), lambda x: weak_diameter(x, members))
+    diam = each_regime(lambda: (fresh(g),), lambda x: weak_diameter(x, members))
     dists = [dm[u][v] for u in members for v in members]
-    assert diam[0] == diam[1] == (None if None in dists else max(dists))
-    aug = both_kernels(lambda: (fresh(g),), lambda x: augment(x, td, d)[0].edges)
-    assert aug[0] == aug[1] == g.edges | {
+    assert diam[0] == diam[1] == diam[2] == (None if None in dists else max(dists))
+    aug = each_regime(lambda: (fresh(g),), lambda x: augment(x, td, d)[0].edges)
+    assert aug[0] == aug[1] == aug[2] == g.edges | {
         (u, v) for t in td.nodes for u in td.bag(t) for v in td.bag(t)
         if u < v and near(u, v)
     }
@@ -239,8 +247,8 @@ def test_kernels_agree_on_qi_constant(g, h, qmax, data):
     def call(src, dst, mapping):
         return qi_constant(src, dst, QuasiIsometryMap(src, dst, mapping), qmax)
 
-    got = both_kernels(make, call)
-    assert got[0] == got[1]
+    got = each_regime(make, call)
+    assert got[0] == got[1] == got[2]
     src, dst, mapping = make()
     if src.is_connected() and dst.is_connected():
         want = qi_constant_brute(src, dst, mapping, qmax)
@@ -626,17 +634,17 @@ def fibre_rows(monkeypatch, g, mapping):
 @settings(max_examples=150, deadline=None)
 def test_fibre_rows_give_the_oracle_constant(maps, qmax):
     """One row per fibre, and per-member rows for a fibre whose members lie
-    too far apart, give both kernels' constant and the oracle's."""
+    too far apart, give every regime's constant and the oracle's."""
     g, h, mapping = maps
 
     def call(src, dst):
         return qi_constant(src, dst, QuasiIsometryMap(src, dst, mapping), qmax)
 
-    got = both_kernels(lambda: (fresh(g), fresh(h)), call)
+    got = each_regime(lambda: (fresh(g), fresh(h)), call)
     want = qi_constant_brute(g, h, mapping, qmax)
     if want is None:
         want = (NotWithinError, str(NotWithinError(qmax)))
-    assert got[0] == got[1] == want
+    assert got[0] == got[1] == got[2] == want
     x, spy = fresh(g), Mock(side_effect=single_source_distances)
     with patch.object(coarsetd.quasiiso, "single_source_distances", spy):
         with patch.object(Graph, "fits", lambda self, r: False):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from math import inf
 
 import pytest
@@ -26,9 +28,10 @@ from coarsetd import (
     validate_decomposition,
     weak_diameter,
 )
-from coarsetd.generators import gen_subdivided_ktree, random_connected_graph
+from coarsetd.generators import gen_ktree, gen_subdivided_ktree, random_connected_graph
 from coarsetd.graph import bfs, single_source_distances
-from coarsetd.quasiiso import _fibres, _lifts
+from coarsetd.pipeline import Partition, layered_parts
+from coarsetd.quasiiso import _fibres, _floor, _lifts
 from helpers import cycle_graph, path_graph
 from oracles import distance_rows, qi_constant_brute
 
@@ -450,6 +453,31 @@ def test_lifts_needs_each_edge_to_map_within_one_step():
     assert not _lifts(g, h, _fibres(g, h, QuasiIsometryMap(g, h, mapping), 1), 1)
 
 
+@st.composite
+def path_ktree_quotients(draw):
+    """A path-layout k-tree (k <= 3) contracted onto the quotient of its
+    BFS layer parts: the pipeline's stage-2 map."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 40))
+    g = gen_ktree(k, n, random.Random(draw(st.integers(0, 999))), "path").graph
+    p = Partition(g, layered_parts(g))
+    return g, p.quotient, dict(p.index)
+
+
+@given(st.one_of(path_ktree_quotients(), perturbed_subdivisions(), cluster_maps()))
+@settings(max_examples=300, deadline=None)
+def test_floor_the_certificate_holds_at_is_the_constant(maps):
+    """Where the certificate holds at the floor that the widest fibre sets,
+    the floor is the oracle's constant."""
+    g, h, mapping = maps
+    fibres = _fibres(g, h, QuasiIsometryMap(g, h, mapping), 1)
+    lo = _floor(g, h, fibres)
+    met = lo is not None and _lifts(g, h, fibres, lo)
+    event(f"floor meets certificate: {met}")
+    if met:
+        assert lo == qi_constant_brute(g, h, mapping, g.n + h.n)
+
+
 def count_rows(monkeypatch):
     """Record the sources of every BFS row read, through either module."""
     rows = []
@@ -545,3 +573,69 @@ def test_pullback_measures_a_map_that_is_not_onto(monkeypatch):
     assert out.bags == ball_unions(g, h, phi.mapping, td_h, 2)
     with pytest.raises(NotWithinError, match="q <= 1 satisfies"):
         pullback_decomposition(g, h, phi, td_h, 1)
+
+
+def test_floor_settles_a_long_graph_with_no_row(monkeypatch):
+    """A subdivided path-layout 2-tree under its natural map, on a graph too
+    long for every radius: the floor, 2, is the constant once the
+    certificate holds at it, and a smaller qmax is refused, with no row
+    read either way."""
+    inst = gen_subdivided_ktree(2, 40, 1, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    assert not g.fits(inf)
+    rows = count_rows(monkeypatch)
+    assert qi_constant(g, h, phi, 5) == 2
+    with pytest.raises(NotWithinError) as raised:
+        qi_constant(g, h, phi, 1)
+    assert str(raised.value) == str(NotWithinError(1))
+    assert rows == []
+    assert qi_constant_brute(g, h, phi.mapping, 5) == 2
+
+
+def test_a_long_map_the_certificate_rejects_streams_rows(monkeypatch):
+    """The far-member map stretches an edge, so the certificate cannot hold
+    and no floor is read: its pairs are streamed from rows, none of them
+    kept."""
+    g, h, phi, _ = far_member_map()
+    assert not g.fits(inf)
+    fibres = _fibres(g, h, phi, 10)
+    assert _floor(g, h, fibres) is None and not _lifts(g, h, fibres, 3)
+
+    class Row(list):
+        """A list that can be weakly referenced."""
+
+    refs = []
+
+    def building(x, *sources):
+        row = Row(single_source_distances(x, *sources))
+        refs.append(weakref.ref(row))
+        return row
+
+    monkeypatch.setattr(coarsetd.quasiiso, "single_source_distances", building)
+    assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 3
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_a_long_map_whose_floor_is_below_its_constant_streams_rows(monkeypatch):
+    """A subdivided path under its natural map: the fibres give the floor 1,
+    where the certificate fails, and the constant 2 is streamed from rows."""
+    inst = gen_subdivided_ktree(1, 60, 1, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    assert not g.fits(inf)
+    fibres = _fibres(g, h, phi, 10)
+    assert _floor(g, h, fibres) == 1 and not _lifts(g, h, fibres, 1)
+    rows = count_rows(monkeypatch)
+    assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 2
+    assert rows
+
+
+def test_a_long_map_that_is_not_onto_streams_rows(monkeypatch):
+    """The identity of a long path into a longer one has no floor: its
+    constant, the coverage radius 2, is streamed from rows."""
+    g, h = path_graph(60), path_graph(62)
+    phi = identity_map(g, h)
+    assert not g.fits(inf) and _floor(g, h, _fibres(g, h, phi, 10)) is None
+    rows = count_rows(monkeypatch)
+    assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 2
+    assert rows
