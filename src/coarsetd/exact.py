@@ -47,7 +47,17 @@ def _members(mask, vs):
 def independent_mask(adj):
     """A maximum independent set of the graph with adjacency masks `adj`
     (vertices 0..len(adj)-1), as a bitmask, by branch and bound."""
-    best_size, best = 0, 0
+    return _independent(adj, 0)
+
+
+def _independent(adj, beat):
+    """independent_mask's search for a set of more than `beat` vertices: the
+    first maximum one it finds, or 0 when there is none. A subtree is cut
+    when its chosen vertices plus a greedy clique cover of the rest (each
+    clique holds at most one member of an independent set) cannot beat the
+    best so far, so only subtrees that cannot improve on it are cut and the
+    witness is the one the search without the bound finds."""
+    best_size, best = beat, 0
     # depth-first over an explicit stack, so depth is not bounded by the
     # interpreter's recursion limit; the take-v branch is popped first
     stack = [((1 << len(adj)) - 1, 0, 0)]
@@ -78,7 +88,19 @@ def independent_mask(adj):
             if size > best_size:
                 best_size, best = size, chosen
             continue
-        if size + mask.bit_count() <= best_size:
+        # cover mask by cliques grown from its lowest vertex; give up once
+        # the cover needs more cliques than the room left to beat best_size
+        rest, cliques = mask, 0
+        while rest and cliques < best_size - size:
+            cliques += 1
+            bit = rest & -rest
+            rest ^= bit
+            grow = rest & adj[bit.bit_length() - 1]
+            while grow:
+                bit = grow & -grow
+                rest ^= bit
+                grow &= adj[bit.bit_length() - 1]
+        if not rest:
             continue
         vbit = 1 << v
         stack.append((mask & ~vbit, chosen, size))
@@ -133,7 +155,20 @@ def dominating_mask(adj):
         need = -(-undominated.bit_count() // max_cover)  # ceil
         if count + need >= best_count:
             continue
-        v = next(i for i in order if undominated >> i & 1)
+        # undominated vertices with pairwise disjoint closed neighbourhoods
+        # need a dominator each; pack them greedily in branching order, so
+        # the first one packed is the vertex to branch on
+        need, packed, v = count, 0, -1
+        for i in order:
+            if undominated >> i & 1 and not closed[i] & packed:
+                if v < 0:
+                    v = i
+                packed |= closed[i]
+                need += 1
+                if need >= best_count:
+                    break
+        if need >= best_count:
+            continue
         # push the candidates from the highest id down, so they pop in id order
         m = closed[v]
         while m:

@@ -137,13 +137,15 @@ def _fibres(g, h, phi, qmax):
     return fibres
 
 
-def _solve(g, h, phi, qmax, fibres):
-    """qi_constant on checked inputs, given phi's fibres."""
+def _solve(g, h, phi, qmax, fibres, failed=None):
+    """qi_constant on checked inputs, given phi's fibres; `failed` is a
+    constant the lifting certificate is known to fail at, so it is not run
+    there again."""
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
         q = _fold(max(1, cover), pairs)[0]
     elif (q := _floor(g, h, fibres)) is None or (
-        q <= qmax and not _lifts(g, h, fibres, q)
+        q <= qmax and (q == failed or not _lifts(g, h, fibres, q))
     ):
         # a floor past qmax is refused, and one the certificate holds at is
         # the constant; else the pairs are streamed. h is connected, so the
@@ -320,7 +322,7 @@ def pullback_decomposition(g, h, phi, td_h, c):
         raise ValueError("c must be a positive integer")
     fibres = _fibres(g, h, phi, c)
     if not _lifts(g, h, fibres, c):
-        _solve(g, h, phi, c, fibres)  # NotWithinError if not a c-qi
+        _solve(g, h, phi, c, fibres, c)  # NotWithinError if not a c-qi
     require_valid(h, td_h, "host decomposition")
     # td_h is valid, so every vertex of h lies in some bag
     balls = {

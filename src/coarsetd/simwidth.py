@@ -7,16 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from .decomposition import TreeDecomposition, each_bag
 from .errors import EmptySetError, MalformedDecompositionError
 from .exact import (
     DEFAULT_CAP,
     _check_cap,
+    _independent,
     bag_masks,
     dominating_mask,
-    independent_mask,
 )
 from .graph import bfs, check_vertices, is_tree, sweep_path
 from .pipeline import PipelineReport, run_pipeline
@@ -93,29 +93,32 @@ def simval(g, a, cap=SIMVAL_CAP):
         if (u in inside) != (v in inside)
     )
     _check_cap(len(cut), cap, "cut")
-    return _cut_value(g, cut)
+    return _cut_value(g, cut, 0)
 
 
-def _cut_value(g, cut):
-    """simval of the cut whose edges are listed in `cut`.
+def _cut_value(g, cut, beat):
+    """simval of the cut whose edges are listed in `cut`, if it is more than
+    `beat`; else 0.
 
     The cut edges conflict when they share an endpoint or any graph edge
     joins their endpoints; an induced matching is an independent set in
-    that conflict graph, found exactly. Cut edge i = (u, v) conflicts with
-    every cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict
-    mask is the OR of those vertices' masks over the cut indices.
+    that conflict graph, found exactly. Cut edge (u, v) conflicts with every
+    cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict mask is
+    reach[u] | reach[v], where reach[w] holds the cut edges at w or at a
+    neighbour of w.
     """
-    if not cut:
-        return 0
     at = {}
     for i, edge in enumerate(cut):
         for w in edge:
             at[w] = at.get(w, 0) | 1 << i
-    conflicts = []
-    for i, (u, v) in enumerate(cut):
-        near = at.keys() & (g.adjacency[u] | g.adjacency[v])
-        conflicts.append(reduce(or_, map(at.get, near), at[u] | at[v]) & ~(1 << i))
-    return independent_mask(conflicts).bit_count()
+    reach = {
+        w: reduce(or_, map(at.get, at.keys() & g.adjacency[w]), here)
+        for w, here in at.items()
+    }
+    conflicts = [
+        (reach[u] | reach[v]) & ~(1 << i) for i, (u, v) in enumerate(cut)
+    ]
+    return _independent(conflicts, beat).bit_count()
 
 
 def _walk(g, bd, cap):
@@ -146,15 +149,19 @@ def _walk(g, bd, cap):
 
 def _width_and_td(g, bd, cap):
     """branch_width_sim and sim_to_td off one walk. An induced matching in a
-    cut has distinct first ends and distinct second ends, so a cut with no
-    more ends of either kind than the best value so far is not solved."""
+    cut has distinct first ends and distinct second ends, so the fewer of
+    the two bounds its value. Cuts are solved from the highest bound down,
+    each only for a value above the best so far, until no bound is above
+    it."""
     td, cuts = _walk(g, bd, cap)
     for _, size in cuts:
         _check_cap(size, cap, "cut")
+    ends = [(min(len({u for u, _ in c}), len({v for _, v in c})), c) for c, _ in cuts]
     best = 0
-    for cut, _ in cuts:
-        if min(len({u for u, _ in cut}), len({v for _, v in cut})) > best:
-            best = max(best, _cut_value(g, cut))
+    for bound, cut in sorted(ends, key=itemgetter(0), reverse=True):
+        if bound <= best:
+            break
+        best = _cut_value(g, cut, best) or best
     return best, td
 
 

@@ -221,3 +221,83 @@ def scan_sweep_path(g, a, b):
             if depth[x] == deepest:
                 path.append(min(y for y in g.adjacency[x] if depth[y] == deepest - 1))
     return up_a + up_b[-2::-1]
+
+
+def plain_independent_mask(adj):
+    """The branch and bound of exact.independent_mask without its
+    clique-cover bound: the same search order, cut only when the chosen
+    vertices plus every vertex left cannot beat the best so far."""
+    best_size, best = 0, 0
+    stack = [((1 << len(adj)) - 1, 0, 0)]
+    while stack:
+        mask, chosen, size = stack.pop()
+        free = 0
+        v = -1
+        vdeg = 0
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            i = bit.bit_length() - 1
+            deg = (adj[i] & mask).bit_count()
+            if deg == 0:
+                free |= bit
+            elif deg > vdeg:
+                vdeg = deg
+                v = i
+        if free:
+            chosen |= free
+            size += free.bit_count()
+            mask ^= free
+        if mask == 0:
+            if size > best_size:
+                best_size, best = size, chosen
+            continue
+        if size + mask.bit_count() <= best_size:
+            continue
+        vbit = 1 << v
+        stack.append((mask & ~vbit, chosen, size))
+        stack.append((mask & ~(adj[v] | vbit), chosen | vbit, size + 1))
+    return best
+
+
+def plain_dominating_mask(adj):
+    """The branch and bound of exact.dominating_mask without its packing
+    bound: the same greedy start and search order, cut only by the count of
+    undominated vertices over the largest closed neighbourhood."""
+    n = len(adj)
+    closed = [adj[i] | (1 << i) for i in range(n)]
+    full = (1 << n) - 1
+    max_cover = max(c.bit_count() for c in closed)
+    order = sorted(range(n), key=lambda i: (closed[i].bit_count(), i))
+    greedy = 0
+    undom = full
+    while undom:
+        pick = -1
+        gain = -1
+        for i in range(n):
+            got = (closed[i] & undom).bit_count()
+            if got > gain:
+                gain = got
+                pick = i
+        greedy |= 1 << pick
+        undom &= ~closed[pick]
+    best_count, best = greedy.bit_count(), greedy
+    stack = [(full, 0, 0)]
+    while stack:
+        undominated, chosen, count = stack.pop()
+        if undominated == 0:
+            if count < best_count:
+                best_count, best = count, chosen
+            continue
+        need = -(-undominated.bit_count() // max_cover)
+        if count + need >= best_count:
+            continue
+        v = next(i for i in order if undominated >> i & 1)
+        m = closed[v]
+        while m:
+            u = m.bit_length() - 1
+            bit = 1 << u
+            m ^= bit
+            stack.append((undominated & ~closed[u], chosen | bit, count + 1))
+    return best

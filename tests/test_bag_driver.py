@@ -157,17 +157,17 @@ def test_empty_bags_pass_and_get_no_certificate():
 @pytest.fixture
 def mis_calls(monkeypatch):
     """Sizes of the independent-set solves, through every module that binds
-    the kernel."""
+    the kernel (the cut values bind its search with a bound to beat)."""
     calls = []
-    kernel = coarsetd.exact.independent_mask
+    kernel = coarsetd.exact._independent
 
-    def counting(adj):
+    def counting(adj, beat=0):
         calls.append(len(adj))
-        return kernel(adj)
+        return kernel(adj, beat)
 
-    for module in (coarsetd.exact, coarsetd.decomposition, coarsetd.pipeline,
-                   coarsetd.simwidth):
+    for module in (coarsetd.exact, coarsetd.decomposition, coarsetd.pipeline):
         monkeypatch.setattr(module, "independent_mask", counting)
+    monkeypatch.setattr(coarsetd.simwidth, "_independent", counting)
     return calls
 
 

@@ -5,9 +5,10 @@ graph reads (masks at small radii only), and the same as the oracle
 rows, which relax the edge set and share no code with either. The
 exact bitmask solvers on masks built straight from the host graph: the
 same witnesses as the Graph solvers on the induced subgraph, and the
-sizes of the brute-force oracles; the dominating-partition certificates
-against the oracle rows, and the exact centred check against the
-independence gate it stands in for. The tree questions on the component
+sizes of the brute-force oracles; on random masks, the witnesses of the
+plain search without their bounds; the dominating-partition
+certificates against the oracle rows, and the exact centred check
+against the independence gate it stands in for. The tree questions on the component
 sweep: paths, branch widths, bags and validation against a BFS parent
 table, the sides of the tree edges and a per-trace search."""
 
@@ -61,6 +62,7 @@ from coarsetd import (
     weak_diameter,
 )
 from coarsetd.cli import main
+from coarsetd.exact import _independent
 from coarsetd.fileio import emit_bd, emit_graph
 from coarsetd.generators import (
     FAMILIES,
@@ -77,6 +79,8 @@ from oracles import (
     brute_gamma,
     centred_brute,
     distance_rows,
+    plain_dominating_mask,
+    plain_independent_mask,
     qi_constant_brute,
     scan_sweep_path,
     side_cut_bags,
@@ -489,6 +493,49 @@ def test_mask_solvers_match_the_graph_solvers(g, data):
         assert simval(g, side, cap=12) == simval_brute(g, side)
 
 
+@st.composite
+def adjacency_masks(draw):
+    """Adjacency masks of a random graph on up to 18 vertices, of any
+    density."""
+    n = draw(st.integers(1, 18))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.7, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+@given(adjacency_masks())
+@settings(max_examples=300, deadline=None)
+def test_bounds_keep_the_plain_searchs_witnesses(adj):
+    """The clique-cover and packing bounds cut only subtrees that cannot
+    beat the best so far, so both kernels return the plain search's
+    witness bitmask, and for up to 10 vertices the sizes of the oracles.
+    `_independent(adj, beat)` is 0 exactly when alpha <= beat, and
+    otherwise a maximum independent set."""
+    n = len(adj)
+    mis, mds = independent_mask(adj), dominating_mask(adj)
+    assert mis == plain_independent_mask(adj)
+    assert mds == plain_dominating_mask(adj)
+    alpha = mis.bit_count()
+    if n <= 10:
+        g = Graph(n, [
+            (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1
+        ])
+        assert alpha == brute_alpha(g) and mds.bit_count() == brute_gamma(g)
+    for beat in range(n + 1):
+        found = _independent(adj, beat)
+        if alpha <= beat:
+            assert found == 0
+        else:
+            assert found.bit_count() == alpha
+            assert not any(adj[i] & found for i in range(n) if found >> i & 1)
+
+
 @given(inputs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_dominating_partition_is_a_certificate(g, data):
@@ -788,26 +835,27 @@ def test_weak_diameter_rows_skip_the_last_member(monkeypatch):
 
 
 def test_branch_width_skips_cuts_that_cannot_raise_it(monkeypatch):
-    """A cut with no more edges, first ends or second ends than the best
-    value so far is not solved."""
+    """Cuts are solved from the highest distinct-ends bound down, each only
+    for a value above the best so far, and none once no bound is above
+    it."""
     inst = generate_corpus(
         "random-branch-decomposition", {"n": 20, "p": 0.2}, seed=3
     )
     g, bd = inst.graph, inst.branch_decomposition
     calls = []
-    kernel = coarsetd.simwidth.independent_mask
+    kernel = coarsetd.simwidth._independent
 
-    def counting(adj):
+    def counting(adj, beat):
         calls.append(len(adj))
-        return kernel(adj)
+        return kernel(adj, beat)
 
-    monkeypatch.setattr(coarsetd.simwidth, "independent_mask", counting)
+    monkeypatch.setattr(coarsetd.simwidth, "_independent", counting)
     assert branch_width_sim(g, bd, cap=64) == 4
     cut = [e for e in bd.tree.edges if any(
         (u in bd.side(e)) != (v in bd.side(e)) for u, v in g.edges
     )]
     assert len(cut) == 37
-    assert len(calls) == 15
+    assert len(calls) == 14
 
 
 @st.composite

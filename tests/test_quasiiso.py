@@ -630,6 +630,25 @@ def test_a_long_map_whose_floor_is_below_its_constant_streams_rows(monkeypatch):
     assert rows
 
 
+def test_pullback_runs_the_certificate_once_per_constant(monkeypatch):
+    """The same subdivided path at c = 1: the pullback's certificate fails
+    at c, the floor is c too, and the measurement that refuses c does not
+    run the certificate there again."""
+    inst = gen_subdivided_ktree(1, 60, 1, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    calls = []
+
+    def counting(g, h, fibres, c):
+        calls.append(c)
+        return _lifts(g, h, fibres, c)
+
+    monkeypatch.setattr(coarsetd.quasiiso, "_lifts", counting)
+    with pytest.raises(NotWithinError) as raised:
+        pullback_decomposition(g, h, phi, inst.base_decomposition, 1)
+    assert str(raised.value) == str(NotWithinError(1)) and raised.value.qmax == 1
+    assert calls == [1]
+
+
 def test_a_long_map_that_is_not_onto_streams_rows(monkeypatch):
     """The identity of a long path into a longer one has no floor: its
     constant, the coverage radius 2, is streamed from rows."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coarsetd.simwidth
 from coarsetd import (
     BranchDecomposition,
     EmptySetError,
@@ -20,7 +21,12 @@ from coarsetd import (
 )
 from coarsetd.generators import random_branch_decomposition, random_connected_graph
 from helpers import complete_graph, cycle_graph, edgeless_graph, path_graph, star_graph
-from oracles import is_induced_matching, simval_brute
+from oracles import (
+    is_induced_matching,
+    plain_dominating_mask,
+    plain_independent_mask,
+    simval_brute,
+)
 
 
 def star_bd():
@@ -378,6 +384,32 @@ def test_simwidth_pipeline_c6():
     assert report.width_out <= 12 * k - 1
     assert report.ok
     assert report.pipeline.final_map.measured_q is not None
+
+
+def test_path_power_on_its_vertex_order_caterpillar(monkeypatch):
+    """P_150^9 (u and v adjacent when 0 < |u - v| <= 9) on the caterpillar
+    in vertex order: the first ends of any two edges across a cut lie
+    within 9 of each other, so they are adjacent and the branch width is 1.
+    The bounded kernels give the branch width and the certificates of the
+    plain search."""
+    n, reach = 150, 9
+    g = Graph(n, [
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, min(u + reach, n) + 1)
+    ])
+    bd = caterpillar_bd(n)
+    report = simwidth_pipeline(g, bd, cap=64, simval_cap=64)
+    assert report.branch_width == 1 and report.width_out == 1
+    assert report.checks and all(report.checks.values())
+
+    def plain_independent(adj, beat):
+        found = plain_independent_mask(adj)
+        return found if found.bit_count() > beat else 0
+
+    monkeypatch.setattr(coarsetd.simwidth, "dominating_mask", plain_dominating_mask)
+    monkeypatch.setattr(coarsetd.simwidth, "_independent", plain_independent)
+    plain = simwidth_pipeline(g, bd, cap=64, simval_cap=64)
+    assert plain.branch_width == 1
+    assert report.certificates == plain.certificates
 
 
 def test_simwidth_pipeline_edgeless_clamps():
