@@ -8,7 +8,14 @@ the instance; no distance row, and so no whole-graph distance table, is
 ever kept.
 
 Level masks (`Graph.balls`) are bitsets of the vertices within distance r
-of each vertex, built one radius at a time by OR-ing neighbours' masks.
+of each vertex, built one radius at a time by OR-ing neighbours' masks
+(the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD 2013). `spread`
+builds a level one neighbour column at a time: the vertices, laid out once
+in degree order, take their j-th neighbours' masks in one C-level pass
+per column while the column covers at least 32 vertices; the few of
+higher degree, and every vertex of a graph too small for any column, fold
+their remaining neighbours one at a time. Blocks of 128 vertices keep at
+most one block of partial masks alive beside the finished level.
 The component sweep measures e, the largest depth reached from a
 component's smallest vertex, so the diameter D lies between e and 2e and
 the masks for radius r take at most min(r, 2e) + 1 levels. One rule,
@@ -17,27 +24,31 @@ the masks for radius r take at most min(r, 2e) + 1 levels. One rule,
 question at radius r reads the masks when g fits r, and otherwise one
 uncached BFS row (`single_source_distances`) per member. A row may start
 from several vertices at once and then holds the distance to the nearest.
-Rows walk a list of neighbour tuples, built by the first row and
-published whole like a mask level, and read their own visit list as the
-queue.
+Rows walk a list of neighbour tuples, built by the first row or mask
+level and published whole like a level, and read their own visit list as
+the queue; the column layout is built from the same tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
 from math import inf
-from operator import or_
+from operator import neg, or_
 
 from .errors import EmptySetError
 
 MASK_LEVELS = 56  # the most level masks a graph holds; see the docstring
+_COLUMN_MIN = 32  # the fewest slots a neighbour column serves; see spread
+_BLOCK = 128  # slots per block of partial masks; see spread
 
 
 class Graph:
     """Simple, undirected, unweighted, finite graph on vertices 1..n."""
 
     __slots__ = (
-        "n", "edges", "adjacency", "_components", "_depth", "_masks", "_nbrs", "_up"
+        "n", "edges", "adjacency", "_components", "_depth", "_masks", "_nbrs",
+        "_layout", "_up",
     )
 
     def __init__(self, n, edges=()):
@@ -61,6 +72,7 @@ class Graph:
         self._depth = None
         self._masks = None
         self._nbrs = None
+        self._layout = None
         self._up = None
 
     @property
@@ -84,8 +96,11 @@ class Graph:
 
         A published list is never changed: each new level publishes a new
         list, so a reader on another thread keeps a consistent snapshot and
-        two threads extending at once only repeat work. A 57th level raises
-        ValueError: callers ask only for radii that g fits."""
+        two threads extending at once only repeat work. A negative radius
+        or a 57th level raises ValueError: callers ask only for radii that
+        g fits."""
+        if r < 0:
+            raise ValueError(f"radius {r} is negative")
         masks = self._masks
         if masks is None:
             masks = self._masks = [[0] + [1 << v for v in self.vertices]]
@@ -93,7 +108,7 @@ class Graph:
         while len(masks) <= r and (len(masks) < 2 or masks[-1] is not masks[-2]):
             if len(masks) == MASK_LEVELS:
                 raise ValueError(f"radius {r} needs more than {MASK_LEVELS} mask levels")
-            level = spread(self.adjacency, masks[-1])
+            level = spread(self, masks[-1])
             masks = self._masks = masks + [masks[-1] if level == masks[-1] else level]
         return masks[min(r, len(masks) - 1)]
 
@@ -148,11 +163,8 @@ class Graph:
 def single_source_distances(g, *sources):
     """BFS distances from the nearest of the given vertices (one or more),
     None where there is no path; index 0 is unused. The row is not cached;
-    the neighbour tuples it walks are, built by g's first row and published
-    as one list."""
-    nbrs = g._nbrs
-    if nbrs is None:
-        nbrs = g._nbrs = [()] + [tuple(g.adjacency[v]) for v in g.vertices]
+    the neighbour tuples it walks are (`_neighbours`)."""
+    nbrs = _neighbours(g)
     dist = [None] * (g.n + 1)
     for s in sources:
         dist[s] = 0
@@ -166,12 +178,65 @@ def single_source_distances(g, *sources):
     return dist
 
 
-def spread(adj, level):
-    """The next level of masks: each vertex ORs in its neighbours' masks."""
-    return [0] + [
-        reduce(or_, map(level.__getitem__, adj[v]), level[v])
-        for v in range(1, len(level))
-    ]
+def _neighbours(g):
+    """g's neighbour tuples (index 0 empty), built by its first row or
+    mask level and published as one list."""
+    nbrs = g._nbrs
+    if nbrs is None:
+        nbrs = g._nbrs = [(), *map(tuple, g.adjacency.values())]
+    return nbrs
+
+
+def spread(g, level):
+    """The next level of masks over g: each vertex ORs in its neighbours'
+    masks.
+
+    The slots are g's vertices in degree order, highest first, and column
+    j holds the j-th neighbour of every slot whose degree is more than j,
+    so one C-level map ORs a whole column into the slots' partial masks.
+    Columns are kept while they cover at least _COLUMN_MIN slots; the few
+    slots of higher degree then fold their remaining neighbours one at a
+    time, and a graph too small for any column folds every neighbour that
+    way. Slots go in blocks of _BLOCK, so at most one block of partial
+    masks is alive beside the finished ones.
+    """
+    pos, blocks, tail = _layout(g)
+    get, done = level.__getitem__, [0]
+    for slots, columns in blocks:
+        acc = list(map(get, slots))
+        for col in columns:
+            acc[:len(col)] = map(or_, acc, map(get, col))
+        done += acc
+    for i, rest in tail:
+        done[i] = reduce(or_, map(get, rest), done[i])
+    return list(map(done.__getitem__, pos))
+
+
+def _layout(g):
+    """(pos, blocks, tail) for spread, built from g's neighbour tuples once
+    and published whole. Slots count from 1, and pos[v] is v's slot (pos[0]
+    is 0); blocks holds, per block, its slots' vertices and the block's part
+    of every column that reaches it; tail lists (slot, remaining
+    neighbours) for the slots past the last column. Its numbers are int
+    objects that g holds already, so it adds none."""
+    layout = g._layout
+    if layout is None:
+        nbrs = _neighbours(g)
+        deg = list(map(len, nbrs))
+        order = sorted(g.adjacency, key=deg.__getitem__, reverse=True)
+        below = sorted(map(neg, deg[1:]))  # the degrees negated, ascending
+        columns = []  # c counts the slots of degree above len(columns)
+        while (c := bisect_left(below, -len(columns))) >= _COLUMN_MIN:
+            columns.append([nbrs[v][len(columns)] for v in order[:c]])
+        slots = list(g.adjacency)  # slot i is the key i
+        pos = [0, *sorted(slots, key=[0, *order].__getitem__)]
+        blocks = [
+            (order[s:s + _BLOCK], [col[s:s + _BLOCK] for col in columns if len(col) > s])
+            for s in range(0, g.n, _BLOCK)
+        ]
+        tail = [(slots[i], nbrs[order[i]][len(columns):]) for i in range(c)]
+        layout = g._layout = pos, blocks, tail
+    return layout
 
 
 def bfs(adj, sources, within=None, radius=inf):

@@ -252,7 +252,7 @@ def _profile(g, h, phi):
     for v, x in phi.mapping.items():
         fibres[x] |= 1 << v
     near = [fibres]
-    while (level := spread(h.adjacency, near[-1])) != near[-1]:
+    while (level := spread(h, near[-1])) != near[-1]:
         near.append(level)
     # h is connected, so the last level holds every g-vertex at every x
     cover = next(b for b, level in enumerate(near) if all(level[1:]))

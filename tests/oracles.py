@@ -4,7 +4,9 @@ Everything here recomputes results straight from the definitions, by
 exhaustive enumeration, and stays independent of the code paths it checks.
 """
 
+from functools import reduce
 from itertools import combinations, permutations, product
+from operator import or_
 
 from coarsetd import weak_diameter
 
@@ -221,6 +223,16 @@ def scan_sweep_path(g, a, b):
             if depth[x] == deepest:
                 path.append(min(y for y in g.adjacency[x] if depth[y] == deepest - 1))
     return up_a + up_b[-2::-1]
+
+
+def plain_spread(adj, level):
+    """The next level of masks by the per-vertex fold that graph.spread's
+    neighbour columns stand in for: each vertex ORs in its neighbours'
+    masks one at a time."""
+    return [0] + [
+        reduce(or_, map(level.__getitem__, adj[v]), level[v])
+        for v in range(1, len(level))
+    ]
 
 
 def plain_independent_mask(adj):

@@ -13,7 +13,7 @@ from coarsetd import (
     simval,
     weak_diameter,
 )
-from coarsetd.graph import bfs
+from coarsetd.graph import bfs, near_pairs
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -220,3 +220,17 @@ def test_vertex_range_error(call):
     with pytest.raises(ValueError) as err:
         call(Graph(2, [(1, 2)]))
     assert str(err.value) == "vertex 0 outside range 1..2"
+
+
+def test_negative_radius_is_refused():
+    """On a fresh path and on one whose levels have settled, which a
+    negative index would read as every pair near."""
+    for warm in (False, True):
+        g = path_graph(4)
+        if warm:
+            g.balls(3)
+        with pytest.raises(ValueError, match="radius -1 is negative"):
+            g.balls(-1)
+        with pytest.raises(ValueError, match="radius -1 is negative"):
+            near_pairs(g, -1, [1, 2, 3])
+        assert g.balls(0) == [0, 2, 4, 8, 16]

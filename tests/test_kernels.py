@@ -71,7 +71,7 @@ from coarsetd.generators import (
     gen_random_tree,
     gen_subdivided_ktree,
 )
-from coarsetd.graph import bfs, single_source_distances, sweep_path
+from coarsetd.graph import _COLUMN_MIN, bfs, single_source_distances, spread, sweep_path
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph, single_bag_td
 from oracles import (
@@ -81,6 +81,7 @@ from oracles import (
     distance_rows,
     plain_dominating_mask,
     plain_independent_mask,
+    plain_spread,
     qi_constant_brute,
     scan_sweep_path,
     side_cut_bags,
@@ -173,6 +174,54 @@ def test_level_masks_are_the_balls_of_the_rows(g):
             assert ball[u] == sum(
                 1 << v for v in g.vertices if dm[u][v] is not None and dm[u][v] <= r
             )
+
+
+@st.composite
+def hub_graphs(draw):
+    """Degrees and vertex counts on both sides of the column cutoff, in
+    one block of slots or several: stars K_{1,m}, wheels, cycles, complete
+    bipartite K_{h,m} (h hubs, past the last column when h is below the
+    cutoff) and random 2-trees, plus up to three isolated vertices, all ids
+    shuffled."""
+    kind = draw(st.sampled_from(["star", "wheel", "cycle", "bipartite", "2-tree"]))
+    m = draw(st.one_of(st.integers(0, 2 * _COLUMN_MIN), st.integers(500, 1100)))
+    if kind == "star":
+        n, edges = m + 1, [(1, v) for v in range(2, m + 2)]
+    elif kind == "wheel":
+        n = max(m, 3) + 1
+        edges = [(1, v) for v in range(2, n + 1)]
+        edges += [(v, v + 1) for v in range(2, n)] + [(2, n)]
+    elif kind == "cycle":  # no slot past the last column; diameter <= 50
+        n = min(max(m, 3), 100)
+        edges = [(v, v + 1) for v in range(1, n)] + [(1, n)]
+    elif kind == "bipartite":
+        h = draw(st.integers(1, 2 * _COLUMN_MIN))
+        n = h + m
+        edges = [(u, v) for u in range(1, h + 1) for v in range(h + 1, n + 1)]
+    else:
+        g = gen_ktree(2, max(m, 3), random.Random(draw(st.integers(0, 999)))).graph
+        n, edges = g.n, g.edges
+    total = n + draw(st.integers(0, 3))
+    ids = draw(st.permutations(list(range(1, total + 1))))
+    return Graph(total, [(ids[u - 1], ids[v - 1]) for u, v in edges])
+
+
+@given(st.one_of(st.just(Graph(0)), inputs(), hub_graphs()), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_columns_are_the_plain_fold(g, seed):
+    """Every level of g.balls up to the one that settles, and levels spread
+    from random start masks of many bits each (as `_profile` spreads its
+    fibres), are the per-vertex fold's."""
+    want = [[0] + [1 << v for v in g.vertices]]
+    while (level := plain_spread(g.adjacency, want[-1])) != want[-1]:
+        want.append(level)
+    assert [g.balls(r) for r in range(len(want) + 1)] == want + want[-1:]
+    rng = random.Random(seed)
+    level = [0] + [rng.getrandbits(g.n + 8) for _ in g.vertices]
+    for _ in range(3):
+        nxt = spread(g, level)
+        assert nxt == plain_spread(g.adjacency, level)
+        level = nxt
 
 
 @given(inputs(), st.integers(1, 4), st.data())
@@ -276,16 +325,21 @@ def with_isolated(draw):
 def test_rows_are_the_oracle_rows(g):
     """The row from every vertex, on a fresh graph and on one whose sweep
     and masks are cached; the neighbour tuples are built by the first row
-    and kept, and equality and hash stay those of the edge set."""
+    or mask level and kept, and equality and hash stay those of the edge
+    set."""
     want = distance_rows(g)
     for warm in (False, True):
         x = fresh(g)
         if warm:
             x.connected_components()
             x.balls(min(x.n, 55))
-        assert x._nbrs is None
+        # the first mask level builds the tuples, from which the column
+        # layout is laid out; the rows then reuse them
+        built = x._nbrs
+        assert (built is None) is (not warm or x.n == 0)
         assert [single_source_distances(x, u) for u in x.vertices] == want[1:]
         nbrs = x._nbrs
+        assert built is None or nbrs is built
         assert single_source_distances(x, x.n) == want[x.n]
         assert x._nbrs is nbrs
         assert x == g and hash(x) == hash(g)
@@ -393,8 +447,10 @@ def test_large_radius_on_a_long_path():
 
 
 def test_threads_extending_one_graphs_levels():
-    """Threads that extend the same graph's levels at once must each see
-    the balls of the rows at every radius, never a level settled early."""
+    """Threads that extend the same graph's levels at once, starting on a
+    graph with no column layout and no neighbour tuples, must each see the
+    balls of the rows at every radius, never a level settled early, and
+    the oracle's row."""
     base = gen_ktree(2, 120, random.Random(1)).graph
     assert base.fits(inf)
     dm = distance_rows(base)
@@ -408,26 +464,59 @@ def test_threads_extending_one_graphs_levels():
     try:
         for _ in range(30):
             g = fresh(base)
+            assert g._layout is None and g._nbrs is None
             got = []
 
             def work(first_qi):
-                out = [qi_constant(g, g, identity_map(g, g), 9)] if first_qi else []
-                out.append([g.balls(r) for r in range(diam + 2)])
-                out.append(weak_diameter(g, g.vertices))
-                out.append(qi_constant(g, g, identity_map(g, g), 9))
-                got.append(out[-4:])
+                if first_qi:
+                    first = qi_constant(g, g, identity_map(g, g), 9)
+                else:
+                    first = single_source_distances(g, 1)
+                got.append((first_qi, [
+                    first,
+                    [g.balls(r) for r in range(diam + 2)],
+                    weak_diameter(g, g.vertices),
+                    qi_constant(g, g, identity_map(g, g), 9),
+                ]))
 
             threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-            assert sorted(map(len, got)) == [3, 3, 4, 4]
-            for out in got:
-                assert out[-3:] == [want, diam, 1]
-                assert len(out) == 3 or out[0] == 1
+                t.join(60)
+                assert not t.is_alive()
+            assert sorted(first_qi for first_qi, _ in got) == [0, 0, 1, 1]
+            for first_qi, out in got:
+                assert out == [1 if first_qi else dm[1], want, diam, 1]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_one_layout_per_graph():
+    """Whichever comes first, a graph's mask levels, a qi_constant that
+    spreads its fibre levels over it, and its rows share one column layout
+    and one list of neighbour tuples, each built once."""
+    base = gen_ktree(2, 600, random.Random(0)).graph
+    assert base.fits(inf)
+    steps = [
+        lambda g: g.balls(3),
+        lambda g: qi_constant(g, g, identity_map(g, g), 9),
+        lambda g: single_source_distances(g, 1),
+    ]
+    with patch.object(
+        coarsetd.quasiiso, "_profile", wraps=coarsetd.quasiiso._profile
+    ) as profile:
+        for turn in range(3):
+            g = fresh(base)
+            seen = []
+            for step in steps[turn:] + steps[:turn]:
+                step(g)
+                seen.append((g._layout, g._nbrs))
+            layout, nbrs = seen[-1]
+            assert layout is not None and nbrs is not None
+            assert all(lay is None or lay is layout for lay, _ in seen)
+            assert all(nb is nbrs for _, nb in seen)
+    assert profile.call_count == 3
 
 
 def test_threads_building_one_graphs_rows():
