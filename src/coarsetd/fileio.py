@@ -125,14 +125,14 @@ def parse_td(text, shape="tree"):
                 raise ParseError(lineno, f"bag id outside 1..{header[0]}")
             if bag_id in bags:
                 raise ParseError(lineno, f"duplicate bag {bag_id}")
-            members = []
+            members = set()
             for tok in parts[2:]:
                 v = _int(tok, lineno, "vertex id")
                 if not 1 <= v <= header[2]:
                     raise ParseError(lineno, f"vertex id outside 1..{header[2]}")
                 if v in members:
                     raise ParseError(lineno, f"duplicate vertex {v} in bag {bag_id}")
-                members.append(v)
+                members.add(v)
             bags[bag_id] = frozenset(members)
         else:
             if header is None:
@@ -273,13 +273,14 @@ def parse_partition(text, n=None):
             if count < 1:
                 raise ParseError(lineno, "need at least one part")
             continue
-        members = []
+        members, seen = [], set()
         for tok in tokens:
             v = _int(tok, lineno, "vertex id")
             if n is not None and not 1 <= v <= n:
                 raise ParseError(lineno, f"vertex id outside 1..{n}")
-            if v in members:
+            if v in seen:
                 raise ParseError(lineno, f"duplicate vertex {v} in part")
+            seen.add(v)
             members.append(v)
         parts.append(members)
     if count is None:

@@ -7,7 +7,9 @@ same seed always yields byte-identical corpus files.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .decomposition import TreeDecomposition
 from .errors import InvalidParamsError
@@ -84,12 +86,14 @@ def gen_random_tree(n, rng):
     degree = {v: 1 for v in range(1, n + 1)}
     for v in seq:
         degree[v] += 1
-    edges = []
+    edges, leaves = [], [v for v in range(1, n + 1) if degree[v] == 1]
     for v in seq:
-        leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
+        leaf = heappop(leaves)  # the smallest leaf
         edges.append((leaf, v))
         degree[leaf] -= 1
         degree[v] -= 1
+        if degree[v] == 1:
+            heappush(leaves, v)
     if n > 1:
         last = [u for u in range(1, n + 1) if degree[u] == 1]
         edges.append((last[0], last[1]))
@@ -253,13 +257,13 @@ def random_branch_decomposition(g, rng):
     edges = [(1, 2)]
     leaves = [1, 2]
     nxt = 3
-    for _ in range(n - 2):
-        a, b = rng.choice(sorted(edges))
+    for _ in range(n - 2):  # edges stay sorted, each as (lower, higher)
+        a, b = edge = rng.choice(edges)
         inner, leaf = nxt, nxt + 1
         nxt += 2
-        edges.remove((a, b))
-        edges.extend([(a, inner), (inner, b), (inner, leaf)])
-        edges = sorted((min(u, v), max(u, v)) for u, v in edges)
+        del edges[bisect_left(edges, edge)]
+        for new in (a, inner), (b, inner), (inner, leaf):
+            insort(edges, new)
         leaves.append(leaf)
     vertices = list(range(1, n + 1))
     rng.shuffle(vertices)

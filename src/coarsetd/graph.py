@@ -296,26 +296,43 @@ def weak_diameter(g, s):
     if not members:
         raise EmptySetError("weak diameter of the empty set is undefined")
     check_vertices(g, members)
-    target = reduce(or_, (1 << v for v in members))
-    r, ball = 0, g.balls(0)
-    for i, u in enumerate(members):
-        while ball[u] & target != target:
-            if not g.fits(r + 1):
-                # earlier members reach the whole set within r; u and the
-                # later ones read one row each but the last, whose distances
-                # are in those rows or at most r
-                for w in members[i:-1]:
-                    row = single_source_distances(g, w)
-                    dists = [row[v] for v in members]
-                    if None in dists:
-                        return None
-                    r = max(r, *dists)
-                return r
-            wider = g.balls(r + 1)
-            if wider is ball:  # settled short of the whole set
+    r, done = _climb(g, [members])
+    if done:
+        return r
+    # g does not fit r + 1. A member the level at r covers is within r of
+    # every other; the rest read one row each but the last, whose distances
+    # are in those rows or at most r
+    ball, target = g.balls(r), reduce(or_, (1 << v for v in members))
+    for w in members[:-1]:
+        if ball[w] & target != target:
+            row = single_source_distances(g, w)
+            dists = [row[v] for v in members]
+            if None in dists:
                 return None
-            r, ball = r + 1, wider
+            r = max(r, *dists)
     return r
+
+
+def _climb(g, sets, cap=inf):
+    """The largest weak diameter of the non-empty vertex sets, read off
+    g's level masks in one pass in which the radius r only grows.
+
+    Returns (r, True) with r that diameter, or (None, True) where a set
+    straddles two components (the levels settled short of it). Returns
+    (r, False) where it stopped at radius r short of the diameter: at the
+    cap, or where g does not fit r + 1."""
+    r, level = 0, g.balls(0)
+    for s in sets:
+        mask = reduce(or_, (1 << v for v in s))
+        for u in s:
+            while level[u] & mask != mask:
+                if r == cap or not g.fits(r + 1):
+                    return r, False
+                wider = g.balls(r + 1)
+                if wider is level:
+                    return None, True
+                r, level = r + 1, wider
+    return r, True
 
 
 def near_pairs(g, d, vs):

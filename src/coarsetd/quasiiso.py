@@ -31,9 +31,10 @@ no pair of the fibre can raise q. The test is a BFS capped at half the
 slack from the first member, or else one capped at the slack from each
 member but the last. A fibre that fails this test, and a fibre of one
 vertex, reads one row per member instead, each zipped with the same b
-into the set of distinct pairs. The slack only grows with q, so a fibre
-that fails at the q folded so far is tested again once every fibre's row
-is read, and reads member rows only if it fails then too.
+into the set of distinct pairs. A fibre is tested at the q folded from
+the fibre rows before it, so one met before the rows that raise q may
+read member rows that the final q would spare it; on the streamed maps
+of coarsened path-layout k-trees and subdivided path k-trees none does.
 
 `pullback_decomposition` needs only to know that phi is a c-quasi-
 isometry, and first tries a certificate that reads no row. Suppose phi
@@ -73,7 +74,7 @@ from .errors import (
     NotWithinError,
     PreconditionError,
 )
-from .graph import MASK_LEVELS, bfs, single_source_distances, spread
+from .graph import MASK_LEVELS, _climb, bfs, single_source_distances, spread
 
 
 @dataclass(frozen=True)
@@ -155,34 +156,22 @@ def _solve(g, h, phi, qmax, fibres, failed=None):
         # after it are read from its row or its fibre's row
         order = [v for fibre in fibres.values() for v in fibre]
         images = list(map(phi.mapping.__getitem__, order))
-
-        def b_of(x, start):
-            """dist_H(x, phi(v)) for each v of order[start:]: the b of every
-            pair (u, v) with u in the fibre of x."""
-            return list(map(single_source_distances(h, x).__getitem__, images[start:]))
-
-        pairs, start, later = set(), 0, []
+        pairs, start = set(), 0
         for x, fibre in fibres.items():
-            tail, bs = order[start:], b_of(x, start)
+            tail = order[start:]
+            # bs[i] = dist_H(x, phi(tail[i])): the b of every pair
+            # (u, tail[i]) with u in the fibre
+            bs = list(map(single_source_distances(h, x).__getitem__, images[start:]))
+            start += len(fibre)
             if len(fibre) > 1:
                 row = single_source_distances(g, *fibre)
-                near = set(zip(map(row.__getitem__, tail), bs))
-                q, slack = _fold(q, near)
-                if not _close(g, fibre, slack):
-                    later.append((x, start, near))
-            else:
-                _member_pairs(g, fibre, tail, bs, pairs)
-            start += len(fibre)
+                q, slack = _fold(q, set(zip(map(row.__getitem__, tail), bs)))
+                if _close(g, fibre, slack):
+                    continue
+            for u in fibre:
+                row = single_source_distances(g, u)
+                pairs.update(zip(map(row.__getitem__, tail), bs))
         q = _fold(q, pairs)[0]
-        # the slack only grows with q, so a fibre that failed at the q folded
-        # so far is tested again at the q of every row read since. Widest
-        # slack first: a fibre that fails even so has members far apart, and
-        # its rows are the likeliest to raise q for the rest
-        later.sort(key=lambda f: _fold(q, f[2])[1], reverse=True)
-        for x, start, near in later:
-            if not _close(g, fibres[x], _fold(q, near)[1]):
-                _member_pairs(g, fibres[x], order[start:], b_of(x, start), pairs)
-                q = _fold(q, pairs)[0]
     if q > qmax:
         raise NotWithinError(qmax)
     return q
@@ -197,8 +186,8 @@ def _floor(g, h, fibres):
     tops = [c * c for c in range(1, MASK_LEVELS) if g.fits(c + c * c)]
     if not tops or not _steps(g, h, fibres):
         return None
-    d = _diameter(g, fibres, tops[-1])
-    return None if d is None else 1 + isqrt(max(d - 1, 0))
+    d, done = _climb(g, fibres.values(), tops[-1])
+    return 1 + isqrt(max(d - 1, 0)) if done else None
 
 
 def _close(g, fibre, slack):
@@ -209,14 +198,6 @@ def _close(g, fibre, slack):
         return True
     balls = (bfs(g.adjacency, [u], radius=slack) for u in fibre[:-1])
     return all(all(w in ball for w in fibre[i:]) for i, ball in enumerate(balls))
-
-
-def _member_pairs(g, fibre, tail, bs, pairs):
-    """Add to pairs each (dist_G(u, tail[i]), bs[i]) for u in the fibre,
-    from one row per member."""
-    for u in fibre:
-        row = single_source_distances(g, u)
-        pairs.update(zip(map(row.__getitem__, tail), bs))
 
 
 def _fold(q, pairs):
@@ -342,8 +323,8 @@ def _lifts(g, h, fibres, c):
     top = c * c
     if not g.fits(c + top) or not _steps(g, h, fibres):
         return False
-    d = _diameter(g, fibres, top)
-    if d is None:
+    d, done = _climb(g, fibres.values(), top)
+    if not done:
         return False
     adj = h.adjacency
     # the least potentials, by value iteration from 0; y's fibre is grouped
@@ -381,17 +362,3 @@ def _steps(g, h, fibres):
     adj = h.adjacency
     return all(image[u] == image[v] or image[v] in adj[image[u]] for u, v in g.edges)
 
-
-def _diameter(g, fibres, top):
-    """The largest weak diameter of a fibre, read off g's level masks, or
-    None where it exceeds top; g is connected and fits top."""
-    d, level = 0, g.balls(0)
-    for fibre in fibres.values():
-        mask = sum(1 << v for v in fibre)
-        for u in fibre:
-            while level[u] & mask != mask:
-                if d == top:
-                    return None
-                d += 1
-                level = g.balls(d)
-    return d

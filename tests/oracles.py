@@ -8,7 +8,7 @@ from functools import reduce
 from itertools import combinations, permutations, product
 from operator import or_
 
-from coarsetd import weak_diameter
+from coarsetd import BranchDecomposition, Graph, TreeDecomposition, weak_diameter
 
 
 def brute_alpha(g):
@@ -313,3 +313,53 @@ def plain_dominating_mask(adj):
             m ^= bit
             stack.append((undominated & ~closed[u], chosen | bit, count + 1))
     return best
+
+
+def scan_random_tree(n, rng):
+    """generators.gen_random_tree as it scanned every vertex for the
+    smallest leaf at each Pruefer step: quadratic, kept as the reference
+    for the heap of leaves."""
+    seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
+    degree = {v: 1 for v in range(1, n + 1)}
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    if n > 1:
+        last = [u for u in range(1, n + 1) if degree[u] == 1]
+        edges.append((last[0], last[1]))
+    g = Graph(n, edges)
+    depth = g._sweep()[0]
+    bags = {
+        v: frozenset([v, *(u for u in g.adjacency[v] if depth[u] < depth[v])])
+        for v in g.vertices
+    }
+    return g, TreeDecomposition(g, bags)
+
+
+def resorting_branch_decomposition(g, rng):
+    """generators.random_branch_decomposition as it sorted its edge list
+    twice per step: quadratic, kept as the reference for the list kept
+    sorted by insertion."""
+    n = g.n
+    if n == 1:
+        return BranchDecomposition(Graph(1), {1: 1})
+    edges = [(1, 2)]
+    leaves = [1, 2]
+    nxt = 3
+    for _ in range(n - 2):
+        a, b = rng.choice(sorted(edges))
+        inner, leaf = nxt, nxt + 1
+        nxt += 2
+        edges.remove((a, b))
+        edges.extend([(a, inner), (inner, b), (inner, leaf)])
+        edges = sorted((min(u, v), max(u, v)) for u, v in edges)
+        leaves.append(leaf)
+    vertices = list(range(1, n + 1))
+    rng.shuffle(vertices)
+    leaf_map = {v: leaf for v, leaf in zip(vertices, leaves)}
+    return BranchDecomposition(Graph(nxt - 1, edges), leaf_map)

@@ -201,6 +201,8 @@ PARSE_ERRORS = [
         ("duplicate-bag", "s td 2 1 1\nb 1 1\nb 1 1\n", "line 3: duplicate bag 1"),
         ("vertex-outside", "s td 1 1 1\nb 1 2\n", "line 2: vertex id outside 1..1"),
         ("duplicate-vertex", "s td 1 2 2\nb 1 1 1\n", "line 2: duplicate vertex 1 in bag 1"),
+        ("duplicate-before-outside", "s td 1 2 2\nb 1 1 1 3\n", "line 2: duplicate vertex 1 in bag 1"),
+        ("outside-before-duplicate", "s td 1 2 2\nb 1 3 1 1\n", "line 2: vertex id outside 1..2"),
         ("edge-before-header", "1 2\n", "line 1: tree edge before the header"),
         ("bad-tree-edge", "s td 2 1 1\nb 1 1\nb 2 1\n1 2 3\n", "line 4: expected a tree edge '<i> <j>'"),
         ("node-outside", "s td 2 1 1\nb 1 1\nb 2 1\n1 3\n", "line 4: node id outside 1..2"),
@@ -245,6 +247,8 @@ PARSE_ERRORS = [
         ("no-parts", "0\n", "line 1: need at least one part"),
         ("vertex-outside", "1\n2\n", "line 2: vertex id outside 1..1"),
         ("duplicate-vertex", "1\n1 1\n", "line 2: duplicate vertex 1 in part"),
+        ("duplicate-before-outside", "1\n1 1 2\n", "line 2: duplicate vertex 1 in part"),
+        ("outside-before-duplicate", "1\n2 1 1\n", "line 2: vertex id outside 1..1"),
         ("missing-count", "c nothing\n", "missing part count"),
         ("part-count", "2\n1\n", "declared 2 parts, found 1"),
         n=1,
@@ -269,6 +273,17 @@ def test_header_counts_past_the_file_fail_at_once(parse, text):
     start = time.perf_counter()
     with pytest.raises(ParseError, match="^line 1: 1000000000000 .* cannot fit in 2 lines$"):
         parse(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_td, "s td 1 40000 40000\nb 1 {}\n"),
+    (parse_partition, "1\n{}\n"),
+], ids=["bag", "part"])
+def test_a_40000_member_line_parses_at_once(parse, text):
+    """Duplicate members are looked up in a set, not a list."""
+    start = time.perf_counter()
+    parse(text.format(" ".join(map(str, range(1, 40001)))))
     assert time.perf_counter() - start < 1
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,9 +17,11 @@ from coarsetd.fileio import emit_bd, emit_graph, emit_td
 from coarsetd.generators import (
     FAMILIES,
     coarsen_decomposition,
+    gen_random_tree,
     random_branch_decomposition,
 )
-from helpers import cycle_graph
+from helpers import cycle_graph, path_graph
+from oracles import resorting_branch_decomposition, scan_random_tree
 
 
 def test_cycle6():
@@ -102,6 +105,29 @@ def test_seed_determinism_bytes():
     a = generate_corpus("random-tree", {"n": 12}, seed=42)
     c = generate_corpus("random-tree", {"n": 12}, seed=43)
     assert emit_graph(a.graph) != emit_graph(c.graph)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 300])
+def test_generators_emit_the_bytes_of_their_quadratic_references(n):
+    """The heap of leaves and the edge list kept sorted by insertion draw
+    the same numbers and emit the same files as the scans they replace."""
+    for seed in range(4):
+        tree = gen_random_tree(n, random.Random(seed))
+        g, td = scan_random_tree(n, random.Random(seed))
+        assert emit_graph(tree.graph) == emit_graph(g)
+        assert emit_td(tree.decomposition, n) == emit_td(td, n)
+        for host in (tree.graph, path_graph(n)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = random_branch_decomposition(host, rng)
+            assert emit_bd(got) == emit_bd(resorting_branch_decomposition(host, ref))
+            assert rng.random() == ref.random()
+
+
+def test_generators_are_fast_at_scale():
+    start = time.perf_counter()
+    gen_random_tree(16000, random.Random(0))
+    random_branch_decomposition(path_graph(4000), random.Random(0))
+    assert time.perf_counter() - start < 2
 
 
 def test_bad_params():

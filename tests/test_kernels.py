@@ -71,7 +71,14 @@ from coarsetd.generators import (
     gen_random_tree,
     gen_subdivided_ktree,
 )
-from coarsetd.graph import _COLUMN_MIN, bfs, single_source_distances, spread, sweep_path
+from coarsetd.graph import (
+    _COLUMN_MIN,
+    _climb,
+    bfs,
+    single_source_distances,
+    spread,
+    sweep_path,
+)
 from coarsetd.pipeline import layered_parts
 from helpers import path_graph, single_bag_td
 from oracles import (
@@ -828,10 +835,12 @@ def test_a_far_member_sends_its_fibre_to_member_rows(monkeypatch):
     assert len(fibres[y]) > 1
 
 
-def test_a_fibre_that_fails_early_is_tested_again_at_the_final_constant(monkeypatch):
-    """Fibre 5 fails its test at the q folded when it is read (2), but
-    passes at the final q (3) that the re-mapped fibre's member rows force:
-    it is tested again after every fibre's row and reads no member row."""
+def test_a_fibre_that_fails_early_reads_its_member_rows(monkeypatch):
+    """Fibre 5 fails its test at the q folded when it is read (2), though it
+    would pass at the final q (3) that the re-mapped fibre's member rows
+    force: it reads its member rows at once, and q is still the oracle's.
+    The map reads 47 rows of g and 40 of h (a re-test at the final q would
+    spare fibre 5's three member rows but read one more row of h)."""
     inst = gen_subdivided_ktree(2, 40, 1, random.Random(0), "path")
     g, h = inst.graph, inst.base_graph
     mapping = dict(inst.qi_map.mapping)
@@ -844,7 +853,8 @@ def test_a_fibre_that_fails_early_is_tested_again_at_the_final_constant(monkeypa
         q = qi_constant(g, h, QuasiIsometryMap(g, h, mapping), g.n)
     assert q == qi_constant_brute(g, h, mapping, g.n) == 3
     members = [r for r in rows if len(r) == 1 and len(fibres[mapping[r[0]]]) > 1]
-    assert members == [(u,) for u in fibres[y]]
+    assert members == [(u,) for u in fibres[5] + fibres[y]]
+    assert len(rows) == 47
 
 
 @given(family_graphs(), st.data())
@@ -900,6 +910,59 @@ def test_power_graph_rows_skip_the_last_member(monkeypatch):
     pg = power_graph(path, 200, {1, 100, 300})
     assert rows == [1, 100]
     assert pg.n == 3 and pg.edges == {(1, 2), (2, 3)}
+
+
+@given(inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_climb_is_the_largest_weak_diameter(g, data):
+    """The climb over several sets, in each regime and under a drawn cap:
+    where it finishes, the largest weak diameter of the oracle rows (None
+    where a set straddles two components); where it stops, at the cap or
+    at the last radius g fits, short of that diameter."""
+    vertex = st.sampled_from(list(g.vertices))
+    sets = data.draw(st.lists(st.sets(vertex, min_size=1), min_size=1, max_size=4))
+    cap = data.draw(st.one_of(st.just(inf), st.integers(0, 8)))
+    dm = distance_rows(g)
+    dists = [dm[u][v] for s in sets for u in s for v in s]
+    want = None if None in dists else max(dists)
+
+    def call(x):
+        r, done = _climb(x, [sorted(s) for s in sets], cap)
+        return r, done, done or r == cap or not x.fits(r + 1)
+
+    got = each_regime(lambda: (fresh(g),), call)
+    for r, done, stopped in got:
+        assert stopped
+        assert r == want if done else want is None or r < want
+    if cap == inf or (want is not None and want <= cap):
+        assert got[0] == (want, True, True)
+
+
+def test_weak_diameter_reads_rows_where_no_level_covers(monkeypatch):
+    """With no level past radius 0, each member but the last reads a row;
+    under the 56-level rule only the members the level at 55 does not
+    cover do, and a set that straddles two components of a long graph whose
+    levels settle first reads none."""
+    rows = []
+    row = single_source_distances
+
+    def counting_row(g, source):
+        rows.append(source)
+        return row(g, source)
+
+    monkeypatch.setattr(coarsetd.graph, "single_source_distances", counting_row)
+    with patch.object(Graph, "fits", lambda self, r: False):
+        assert weak_diameter(path_graph(10), {1, 5, 10}) == 9
+    assert rows == [1, 5]
+    rows.clear()
+    path = path_graph(300)
+    assert weak_diameter(path, {1, 50, 100}) == 99
+    assert rows == [1]
+    rows.clear()
+    two = Graph(40, [(v, v + 1) for v in range(1, 40) if v != 31])
+    assert not two.fits(inf)
+    assert weak_diameter(two, {1, 40}) is None
+    assert rows == [] and levels(two) == 31
 
 
 def test_weak_diameter_rows_skip_the_last_member(monkeypatch):
