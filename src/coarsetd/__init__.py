@@ -31,8 +31,6 @@ from .exact import (
     TREEWIDTH_CAP,
     dominating_mask,
     exact_chromatic_number,
-    exact_domination_number,
-    exact_independence_number,
     exact_treewidth,
     independent_mask,
     induced_masks,

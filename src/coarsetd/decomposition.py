@@ -201,12 +201,6 @@ def centred_check(g, s, k, d, cap=DEFAULT_CAP, mode="exact"):
 
     # heuristic mode reports a miss as unknown, never False
     miss = CentredResult(False if mode == "exact" else None, None)
-    if d == 0:
-        # pieces of weak diameter 0 are singletons
-        if len(vs) > k:
-            return miss
-        return CentredResult(True, tuple(frozenset([v]) for v in vs))
-
     if g.fits(d):
         # members pairwise within d are one piece: every member's ball
         # holds them all

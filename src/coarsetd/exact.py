@@ -114,10 +114,6 @@ def maximum_independent_set(g, cap=DEFAULT_CAP):
     return _members(independent_mask(induced_masks(g, g.vertices)), g.vertices)
 
 
-def exact_independence_number(g, cap=DEFAULT_CAP):
-    return len(maximum_independent_set(g, cap))
-
-
 def dominating_mask(adj):
     """A minimum dominating set of the graph with adjacency masks `adj`
     (vertices 0..len(adj)-1, at least one), as a bitmask, by branch and
@@ -185,10 +181,6 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
         raise EmptySetError("domination of the empty graph is undefined")
     _check_cap(g.n, cap, "graph")
     return _members(dominating_mask(induced_masks(g, g.vertices)), g.vertices)
-
-
-def exact_domination_number(g, cap=DEFAULT_CAP):
-    return len(minimum_dominating_set(g, cap))
 
 
 def k_coloring(g, k):

@@ -230,8 +230,9 @@ def emit_bd(bd):
     return "\n".join(lines) + "\n"
 
 
-def parse_map(text, n_source=None, n_target=None):
-    """Parse a vertex map; the source ids must be strictly increasing."""
+def parse_map(text, n_source, n_target):
+    """Parse a vertex map from 1..n_source into 1..n_target, one line per
+    source vertex; the source ids must be strictly increasing."""
     mapping = {}
     last = 0
     for lineno, parts in _data_lines(text):
@@ -243,13 +244,13 @@ def parse_map(text, n_source=None, n_target=None):
             raise ParseError(
                 lineno, f"source vertices must be strictly increasing, got {v}"
             )
-        if n_source is not None and not 1 <= v <= n_source:
+        if not 1 <= v <= n_source:
             raise ParseError(lineno, f"source vertex outside 1..{n_source}")
-        if n_target is not None and not 1 <= x <= n_target:
+        if not 1 <= x <= n_target:
             raise ParseError(lineno, f"target vertex outside 1..{n_target}")
         mapping[v] = x
         last = v
-    if n_source is not None and len(mapping) != n_source:
+    if len(mapping) != n_source:
         raise ParseError(
             None, f"expected one line per source vertex (1..{n_source})"
         )
@@ -261,8 +262,9 @@ def emit_map(mapping):
     return "\n".join(lines) + "\n"
 
 
-def parse_partition(text, n=None):
-    """Parse a partition file into a list of vertex lists."""
+def parse_partition(text, n):
+    """Parse a partition file of vertices in 1..n into a list of vertex
+    lists."""
     count = None
     parts = []
     for lineno, tokens in _data_lines(text):
@@ -276,7 +278,7 @@ def parse_partition(text, n=None):
         members, seen = [], set()
         for tok in tokens:
             v = _int(tok, lineno, "vertex id")
-            if n is not None and not 1 <= v <= n:
+            if not 1 <= v <= n:
                 raise ParseError(lineno, f"vertex id outside 1..{n}")
             if v in seen:
                 raise ParseError(lineno, f"duplicate vertex {v} in part")

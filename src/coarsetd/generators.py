@@ -147,25 +147,32 @@ def coarsen_decomposition(td, rounds, rng):
     """Merge `rounds` random adjacent bag pairs (tree edge contractions).
 
     Contraction preserves all decomposition properties and the path shape;
-    the merged bags are unions of the original ones.
+    the merged bags are unions of the original ones. The tree's edges stay
+    one sorted list, and a merged node goes by its smallest original node.
+    Those names sort as the contracted tree's labels 1..t would, so each
+    round draws the same edge as it would from the relabelled tree, and
+    the nodes are relabelled once, at the end.
     """
-    tree, bags = td.tree, dict(td.bags)
-    for _ in range(rounds):
-        if tree.n <= 1:
-            break
-        a, b = rng.choice(sorted(tree.edges))
-        # b merges into a; the other nodes keep their order
-        rest = [t for t in tree.vertices if t != b]
-        relabel = {t: i for i, t in enumerate(rest, 1)}
-        relabel[b] = relabel[a]
-        new_edges = set()
-        for u, v in tree.edges:
-            uu, vv = relabel[u], relabel[v]
-            if uu != vv:
-                new_edges.add((min(uu, vv), max(uu, vv)))
-        bags = {relabel[t]: bags[t] | bags[b] if t == a else bags[t] for t in rest}
-        tree = Graph(tree.n - 1, new_edges)
-    return TreeDecomposition(tree, bags, shape=td.shape)
+    edges = sorted(td.tree.edges)
+    nbrs = {t: set(td.tree.adjacency[t]) for t in td.nodes}
+    bags = dict(td.bags)
+    for _ in range(min(rounds, len(edges))):
+        a, b = rng.choice(edges)
+        # b merges into a, and b's other edges move to a
+        del edges[bisect_left(edges, (a, b))]
+        nbrs[a].remove(b)
+        for x in nbrs.pop(b) - {a}:
+            del edges[bisect_left(edges, (min(b, x), max(b, x)))]
+            insort(edges, (min(a, x), max(a, x)))
+            nbrs[x].remove(b)
+            nbrs[x].add(a)
+            nbrs[a].add(x)
+        bags[a] |= bags.pop(b)
+    label = {t: i for i, t in enumerate(sorted(bags), 1)}
+    tree = Graph(len(label), [(label[u], label[v]) for u, v in edges])
+    return TreeDecomposition(
+        tree, {label[t]: bag for t, bag in bags.items()}, shape=td.shape
+    )
 
 
 def gen_subdivided_ktree(k, n, s, rng, layout="random"):

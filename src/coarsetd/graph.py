@@ -352,17 +352,15 @@ def near_pairs(g, d, vs):
     return pairs
 
 
-def power_graph(g, d, restrict=None):
-    """Graph joining vertices of `restrict` at distance <= d in `g`.
-
-    When `restrict` is a proper subset, the result is relabelled onto
-    1..|restrict| with vertex i standing for the i-th smallest member;
-    with `restrict` covering all of g the labels are unchanged and d=1
-    reproduces g itself.
+def power_graph(g, d, restrict):
+    """Graph joining the members of `restrict` at distance <= d in `g`,
+    relabelled onto 1..|restrict| with vertex i standing for the i-th
+    smallest member. With `restrict` all of g the labels are unchanged, so
+    d = 1 reproduces g and d = 0 gives g's vertices with no edge.
     """
-    if d < 1:
-        raise ValueError("power graph exponent must be >= 1")
-    vs = sorted(restrict) if restrict is not None else list(g.vertices)
+    if d < 0:
+        raise ValueError("power graph exponent must be >= 0")
+    vs = sorted(restrict)
     check_vertices(g, vs)
     return Graph(len(vs), near_pairs(g, d, vs))
 

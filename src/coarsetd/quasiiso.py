@@ -98,9 +98,6 @@ class QuasiIsometryMap:
             if not 1 <= x <= self.target.n:
                 raise InvalidMapError(f"vertex {v} maps to {x}, outside the target")
 
-    def image(self):
-        return frozenset(self.mapping.values())
-
 
 def identity_map(g, h):
     """The identity v -> v, usable whenever h has at least g's vertices."""
@@ -138,20 +135,18 @@ def _fibres(g, h, phi, qmax):
     return fibres
 
 
-def _solve(g, h, phi, qmax, fibres, failed=None):
-    """qi_constant on checked inputs, given phi's fibres; `failed` is a
-    constant the lifting certificate is known to fail at, so it is not run
-    there again."""
+def _solve(g, h, phi, qmax, fibres):
+    """qi_constant on checked inputs, given phi's fibres."""
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
         q = _fold(max(1, cover), pairs)[0]
     elif (q := _floor(g, h, fibres)) is None or (
-        q <= qmax and (q == failed or not _lifts(g, h, fibres, q))
+        q <= qmax and not _lifts(g, h, fibres, q)
     ):
         # a floor past qmax is refused, and one the certificate holds at is
         # the constant; else the pairs are streamed. h is connected, so the
-        # sweep from the image reaches every vertex
-        q = max(1, *bfs(h.adjacency, phi.image()).values())
+        # sweep from the image, the fibres' keys, reaches every vertex
+        q = max(1, *bfs(h.adjacency, fibres).values())
         # g's vertices fibre by fibre: the pairs of a vertex with the ones
         # after it are read from its row or its fibre's row
         order = [v for fibre in fibres.values() for v in fibre]
@@ -303,7 +298,7 @@ def pullback_decomposition(g, h, phi, td_h, c):
         raise ValueError("c must be a positive integer")
     fibres = _fibres(g, h, phi, c)
     if not _lifts(g, h, fibres, c):
-        _solve(g, h, phi, c, fibres, c)  # NotWithinError if not a c-qi
+        _solve(g, h, phi, c, fibres)  # NotWithinError if not a c-qi
     require_valid(h, td_h, "host decomposition")
     # td_h is valid, so every vertex of h lies in some bag
     balls = {
@@ -319,7 +314,12 @@ def pullback_decomposition(g, h, phi, td_h, c):
 def _lifts(g, h, fibres, c):
     """True only when the map with these fibres is surely a c-quasi-isometry,
     by the certificate of the module docstring: read off g's level masks at
-    radii up to c + c^2, with no distance row. False says nothing."""
+    radii up to c + c^2, with no distance row. False says nothing.
+
+    g's diameter is at most 2e (e from its component sweep), so past 2e
+    every pair lies within c and the certificate holds at c exactly when
+    it holds at 2e + 1: c is clamped there, which bounds the levels read."""
+    c = min(c, 2 * g._sweep()[1] + 1)
     top = c * c
     if not g.fits(c + top) or not _steps(g, h, fibres):
         return False

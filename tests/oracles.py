@@ -363,3 +363,26 @@ def resorting_branch_decomposition(g, rng):
     rng.shuffle(vertices)
     leaf_map = {v: leaf for v, leaf in zip(vertices, leaves)}
     return BranchDecomposition(Graph(nxt - 1, edges), leaf_map)
+
+
+def relabelling_coarsen(td, rounds, rng):
+    """generators.coarsen_decomposition as it relabelled every node and
+    rebuilt the tree at each contraction: quadratic, kept as the reference
+    for the one sorted edge list."""
+    tree, bags = td.tree, dict(td.bags)
+    for _ in range(rounds):
+        if tree.n <= 1:
+            break
+        a, b = rng.choice(sorted(tree.edges))
+        # b merges into a; the other nodes keep their order
+        rest = [t for t in tree.vertices if t != b]
+        relabel = {t: i for i, t in enumerate(rest, 1)}
+        relabel[b] = relabel[a]
+        new_edges = set()
+        for u, v in tree.edges:
+            uu, vv = relabel[u], relabel[v]
+            if uu != vv:
+                new_edges.add((min(uu, vv), max(uu, vv)))
+        bags = {relabel[t]: bags[t] | bags[b] if t == a else bags[t] for t in rest}
+        tree = Graph(tree.n - 1, new_edges)
+    return TreeDecomposition(tree, bags, shape=td.shape)

@@ -431,6 +431,38 @@ def test_sim_width_bounds_at_branch_width_zero(tmp_path):
     assert payload["checks"] == {"domination_le_6k": True, "valid": True}
 
 
+def rbd_files(tmp_path):
+    """The golden rbd input: a seed-4 random branch decomposition on 8
+    vertices."""
+    result = run(["--seed", "4", "gen", "--family", "random-branch-decomposition",
+                  "--param", "n=8", "--param", "p=0.3", "-o", str(tmp_path / "rbd")])
+    assert result.exit_code == 0, result.output
+    return tmp_path / "rbd" / "g.gr", tmp_path / "rbd" / "b.bd"
+
+
+def test_sim_pipeline_refuses_a_budget_below_the_achieved_diameter(tmp_path):
+    gr, bd = rbd_files(tmp_path)
+    result = run(["sim-pipeline", "--graph", str(gr), "--bd", str(bd),
+                  "--budget", "0", "-o", str(tmp_path / "sp")])
+    assert result.exit_code == 1
+    assert result.output == "Error: achieved max weak diameter 1 exceeds budget 0\n"
+    assert not (tmp_path / "sp").exists()
+
+
+def test_sim_pipeline_at_the_achieved_diameter_writes_the_unbudgeted_files(tmp_path):
+    gr, bd = rbd_files(tmp_path)
+    outs = {}
+    for budget in (None, 1):
+        out = tmp_path / f"sp-{budget}"
+        extra = [] if budget is None else ["--budget", str(budget)]
+        result = run(["sim-pipeline", "--graph", str(gr), "--bd", str(bd),
+                      *extra, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["parameters"]["budget"] == budget
+        outs[budget] = [(out / f).read_bytes() for f in ("h.gr", "h.td", "map.map")]
+    assert outs[None] == outs[1]
+
+
 def test_sim_to_td_rejects_a_bd_for_another_vertex_count(tmp_path):
     gr, bd = tmp_path / "g.gr", tmp_path / "b.bd"
     gr.write_text(emit_graph(path_graph(3)))

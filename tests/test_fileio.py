@@ -145,11 +145,11 @@ def test_map_round_trip_and_errors():
     mapping = {1: 3, 2: 1, 3: 3}
     text = emit_map(mapping)
     assert parse_map(text, n_source=3, n_target=3) == mapping
-    assert emit_map(parse_map(text)) == text
+    assert emit_map(parse_map(text, 3, 3)) == text
     with pytest.raises(ParseError):
-        parse_map("2 1\n1 1\n")  # not increasing
+        parse_map("2 1\n1 1\n", 2, 2)  # not increasing
     with pytest.raises(ParseError):
-        parse_map("1 1\n", n_source=2)  # incomplete
+        parse_map("1 1\n", n_source=2, n_target=2)  # incomplete
     with pytest.raises(ParseError):
         parse_map("1 9\n", n_source=1, n_target=3)
 
@@ -160,9 +160,9 @@ def test_partition_round_trip():
     assert text == "2\n1 2 3\n4 5\n"
     assert parse_partition(text, n=5) == [[1, 2, 3], [4, 5]]
     with pytest.raises(ParseError):
-        parse_partition("2\n1 2\n")  # count mismatch
+        parse_partition("2\n1 2\n", n=2)  # count mismatch
     with pytest.raises(ParseError):
-        parse_partition("1\n1 1\n")  # duplicate in part
+        parse_partition("1\n1 1\n", n=1)  # duplicate in part
 
 
 def _rows(parse, *cases, **kw):
@@ -238,9 +238,15 @@ PARSE_ERRORS = [
         ("not-increasing", "2 1\n1 1\n", "line 2: source vertices must be strictly increasing, got 1"),
         ("missing-lines", "1 1\n", "expected one line per source vertex (1..2)"),
         n_source=2,
+        n_target=2,
     ),
-    *_rows(parse_map, ("source-outside", "2 1\n", "line 1: source vertex outside 1..1"), n_source=1),
-    *_rows(parse_map, ("target-outside", "1 2\n", "line 1: target vertex outside 1..1"), n_target=1),
+    *_rows(
+        parse_map,
+        ("source-outside", "2 1\n", "line 1: source vertex outside 1..1"),
+        ("target-outside", "1 2\n", "line 1: target vertex outside 1..1"),
+        n_source=1,
+        n_target=1,
+    ),
     *_rows(
         parse_partition,
         ("bad-count-line", "1 2\n", "line 1: expected the part count on the first line"),
@@ -278,7 +284,7 @@ def test_header_counts_past_the_file_fail_at_once(parse, text):
 
 @pytest.mark.parametrize("parse, text", [
     (parse_td, "s td 1 40000 40000\nb 1 {}\n"),
-    (parse_partition, "1\n{}\n"),
+    (lambda text: parse_partition(text, 40000), "1\n{}\n"),
 ], ids=["bag", "part"])
 def test_a_40000_member_line_parses_at_once(parse, text):
     """Duplicate members are looked up in a set, not a list."""

@@ -17,11 +17,12 @@ from coarsetd.fileio import emit_bd, emit_graph, emit_td
 from coarsetd.generators import (
     FAMILIES,
     coarsen_decomposition,
+    gen_ktree,
     gen_random_tree,
     random_branch_decomposition,
 )
 from helpers import cycle_graph, path_graph
-from oracles import resorting_branch_decomposition, scan_random_tree
+from oracles import relabelling_coarsen, resorting_branch_decomposition, scan_random_tree
 
 
 def test_cycle6():
@@ -157,6 +158,32 @@ def test_coarsen_preserves_validity_and_shape():
         assert result.all_centred is True
         metrics = bag_metrics(inst.graph, td)
         assert metrics.independence_number <= 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["random", "path"])
+def test_coarsening_emits_the_bytes_of_its_quadratic_reference(k, layout):
+    """The one sorted edge list draws the same edges, emits the same files
+    and leaves the same next draw as the relabelling it replaces, also
+    with more rounds than edges."""
+    n = 60
+    for seed in range(4):
+        td = gen_ktree(k, n, random.Random(seed), layout).decomposition
+        for rounds in (0, 1, n // 6, n // 3, 10 * n):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = coarsen_decomposition(td, rounds, rng)
+            want = relabelling_coarsen(td, rounds, ref)
+            assert emit_td(got, n) == emit_td(want, n)
+            assert got.shape == want.shape
+            assert rng.random() == ref.random()
+
+
+def test_coarsening_is_fast_at_scale():
+    n = 8000
+    td = gen_ktree(3, n, random.Random(0)).decomposition
+    start = time.perf_counter()
+    coarsen_decomposition(td, n // 6, random.Random(0))
+    assert time.perf_counter() - start < 1
 
 
 def test_two_vertex_branch_decomposition_pinned():

@@ -70,14 +70,14 @@ def test_weak_diameter_across_components():
 
 def test_power_graph_identity():
     g = cycle_graph(6)
-    assert power_graph(g, 1) == g
+    assert power_graph(g, 1, g.vertices) == g
 
 
 def test_power_graph_c6():
     g = cycle_graph(6)
-    p2 = power_graph(g, 2)
+    p2 = power_graph(g, 2, g.vertices)
     assert all(p2.degree(v) == 4 for v in p2.vertices)
-    assert power_graph(g, 5) == complete_graph(6)
+    assert power_graph(g, 5, g.vertices) == complete_graph(6)
 
 
 def test_power_graph_restricted_relabels():

@@ -46,8 +46,8 @@ INPUT_ERRORS = [
          ValueError, "unknown mode 'fast'"),
         ("treewidth-empty", lambda: exact_treewidth(Graph(0)),
          EmptySetError, "treewidth of the empty graph is undefined"),
-        ("power-exponent", lambda: power_graph(P3, 0),
-         ValueError, "power graph exponent must be >= 1"),
+        ("power-exponent", lambda: power_graph(P3, -1, P3.vertices),
+         ValueError, "power graph exponent must be >= 0"),
         ("quotient-d", lambda: quotient_map(Partition(P3, [{1}, {2}, {3}]), 0),
          ValueError, "d must be a positive integer"),
         ("partition-empty", lambda: bipartite_partition(Graph(0)),

@@ -7,9 +7,9 @@ from coarsetd import (
     Graph,
     Partition,
     bag_metrics,
-    exact_domination_number,
-    exact_independence_number,
     exact_treewidth,
+    maximum_independent_set,
+    minimum_dominating_set,
     power_graph,
     push_decomposition,
     validate_decomposition,
@@ -89,13 +89,13 @@ def test_components_match_union_find(g):
 @given(graphs())
 @settings(max_examples=40, deadline=None)
 def test_power_one_is_identity(g):
-    assert power_graph(g, 1) == g
+    assert power_graph(g, 1, g.vertices) == g
 
 
 @given(graphs(max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_domination_at_most_independence(g):
-    assert exact_domination_number(g) <= exact_independence_number(g)
+    assert len(minimum_dominating_set(g)) <= len(maximum_independent_set(g))
 
 
 @given(graphs(max_n=6))

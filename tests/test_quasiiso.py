@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from math import inf
 
@@ -160,8 +161,9 @@ def test_matches_brute_force():
             assert qi_constant(g, h, phi, qmax) == expected
         seen.add(("n=1", g.n == 1))
         seen.add(("large", g.n >= 20))
-        seen.add(("injective", len(phi.image()) == g.n))
-        seen.add(("onto", phi.image() == frozenset(h.vertices)))
+        image = set(mapping.values())
+        seen.add(("injective", len(image) == g.n))
+        seen.add(("onto", image == set(h.vertices)))
         seen.add(("within", expected is not None))
     # every kind of case, each way round, was checked
     assert len(seen) == 10
@@ -200,7 +202,7 @@ def test_solved_constant_is_the_least_budget_that_passes():
         if q > 1:
             with pytest.raises(NotWithinError):
                 qi_constant(g, h, phi, q - 1)
-        seen.add((kind, phi.image() == frozenset(h.vertices), q > 1))
+        seen.add((kind, set(mapping.values()) == set(h.vertices), q > 1))
     wanted = {("collapsing", False, True), ("onto", True, True), ("onto", True, False)}
     assert wanted <= seen  # (kind, onto, q > 1)
 
@@ -561,6 +563,21 @@ def test_pullback_below_the_constant_raises_the_measured_error():
     assert str(raised.value) == str(NotWithinError(2)) and raised.value.qmax == 2
 
 
+def test_pullback_at_a_constant_far_past_the_diameter_is_answered_at_once(monkeypatch):
+    """The 16-vertex subdivided path at c = 10^5: the certificate holds
+    there as it does at 2e + 1, past g's diameter, so it reads no more
+    levels than that, measures no constant, and gives the oracle's bags."""
+    inst = gen_subdivided_ktree(1, 6, 2, random.Random(0))
+    g, h, phi, td_h = inst.graph, inst.base_graph, inst.qi_map, inst.base_decomposition
+    assert g.n == 16
+    solves = count_solves(monkeypatch)
+    start = time.perf_counter()
+    out = pullback_decomposition(g, h, phi, td_h, 10 ** 5)
+    assert time.perf_counter() - start < 1
+    assert not solves
+    assert out.bags == ball_unions(g, h, phi.mapping, td_h, 10 ** 5)
+
+
 def test_pullback_measures_a_map_that_is_not_onto(monkeypatch):
     g, h = path_graph(5), path_graph(7)
     phi = identity_map(g, h)  # 6 and 7 are not in the image: coverage radius 2
@@ -630,10 +647,10 @@ def test_a_long_map_whose_floor_is_below_its_constant_streams_rows(monkeypatch):
     assert rows
 
 
-def test_pullback_runs_the_certificate_once_per_constant(monkeypatch):
+def test_pullback_refusal_runs_the_certificate_at_c_and_at_the_floor(monkeypatch):
     """The same subdivided path at c = 1: the pullback's certificate fails
-    at c, the floor is c too, and the measurement that refuses c does not
-    run the certificate there again."""
+    at c, and the measurement that refuses c runs it once more, at its
+    floor, which is c too."""
     inst = gen_subdivided_ktree(1, 60, 1, random.Random(0), "path")
     g, h, phi = inst.graph, inst.base_graph, inst.qi_map
     calls = []
@@ -646,7 +663,7 @@ def test_pullback_runs_the_certificate_once_per_constant(monkeypatch):
     with pytest.raises(NotWithinError) as raised:
         pullback_decomposition(g, h, phi, inst.base_decomposition, 1)
     assert str(raised.value) == str(NotWithinError(1)) and raised.value.qmax == 1
-    assert calls == [1]
+    assert calls == [1, 1]
 
 
 def test_a_long_map_that_is_not_onto_streams_rows(monkeypatch):
