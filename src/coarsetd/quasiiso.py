@@ -48,7 +48,12 @@ dist_G(u, w) <= c * dist_H(phi(u), phi(v)) + p(u) for some w in the fibre
 of phi(v), so dist_G(u, v) <= c * dist_H + p(u) + D <= c * dist_H + c^2.
 The least potentials come from value iteration from 0, with distances
 read off G's level masks at radii up to c + c^2; where the certificate
-fails, the constant is measured as above.
+fails, the constant is measured as above. A pass reads them through one
+reach mask per fibre and radius r, the OR of level r - p(w') at the
+members w' with p(w') <= r: by symmetry w meets the fibre of y when bit w
+of y's mask at c + p(w) is set. The masks serve every neighbour of y
+until a potential in y's fibre rises and drops them; phi is onto, so H
+has at most G's n vertices and they never outnumber the levels read.
 
 The measurement tries the certificate too, before it streams a row. Two
 members of one fibre lie at distance 0 in H, so a fibre of weak diameter
@@ -63,7 +68,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import reduce
 from math import inf, isqrt
+from operator import or_
 
 from .decomposition import TreeDecomposition, require_valid
 from .errors import (
@@ -297,9 +304,9 @@ def pullback_decomposition(g, h, phi, td_h, c):
     if c < 1:
         raise ValueError("c must be a positive integer")
     fibres = _fibres(g, h, phi, c)
+    require_valid(h, td_h, "host decomposition")
     if not _lifts(g, h, fibres, c):
         _solve(g, h, phi, c, fibres)  # NotWithinError if not a c-qi
-    require_valid(h, td_h, "host decomposition")
     # td_h is valid, so every vertex of h lies in some bag
     balls = {
         x: [v for y in bfs(h.adjacency, [x], radius=c) for v in fibres.get(y, ())]
@@ -327,26 +334,30 @@ def _lifts(g, h, fibres, c):
     if not done:
         return False
     adj = h.adjacency
-    # the least potentials, by value iteration from 0; y's fibre is grouped
-    # by potential, so each radius tests one mask per group
+    # the least potentials, by value iteration from 0: reach[y][r] is y's
+    # reach mask (module docstring), dropped when a potential in y's fibre
+    # rises; h.n <= g.n, so reach never holds more masks than levels
     levels = [g.balls(r) for r in range(c + top - d + 1)]
-    p, changed = [0] * (g.n + 1), True
+    p, reach, changed = [0] * (g.n + 1), {}, True
     while changed:
         changed = False
         for x, fibre in fibres.items():
             for y in adj[x]:
-                groups = {}
-                for v in fibres[y]:
-                    groups[p[v]] = groups.get(p[v], 0) | 1 << v
+                near = reach.setdefault(y, {})
                 for w in fibre:
-                    while not any(
-                        levels[c + p[w] - pv][w] & mask
-                        for pv, mask in groups.items() if pv <= c + p[w]
-                    ):
+                    while True:
+                        r = c + p[w]
+                        if r not in near:
+                            near[r] = reduce(
+                                or_, (levels[r - p[v]][v] for v in fibres[y] if p[v] <= r), 0
+                            )
+                        if near[r] >> w & 1:
+                            break
                         if p[w] == top - d:
                             return False
                         p[w] += 1
                         changed = True
+                        reach.pop(x, None)
     return True
 
 

@@ -9,6 +9,8 @@ from itertools import combinations, permutations, product
 from operator import or_
 
 from coarsetd import BranchDecomposition, Graph, TreeDecomposition, weak_diameter
+from coarsetd.graph import _climb
+from coarsetd.quasiiso import _steps
 
 
 def brute_alpha(g):
@@ -386,3 +388,39 @@ def relabelling_coarsen(td, rounds, rng):
         bags = {relabel[t]: bags[t] | bags[b] if t == a else bags[t] for t in rest}
         tree = Graph(tree.n - 1, new_edges)
     return TreeDecomposition(tree, bags, shape=td.shape)
+
+
+def plain_lifts(g, h, fibres, c):
+    """quasiiso._lifts with its value iteration as it tested each member
+    on its own: for every host vertex x and neighbour y, y's fibre grouped
+    by potential in a fresh dict, and member w of x's fibre meeting a group
+    at potential pv when levels[c + p(w) - pv][w] holds one of its bits.
+    The same preconditions and the same least potentials, kept as the
+    reference for the cached reach masks."""
+    c = min(c, 2 * g._sweep()[1] + 1)
+    top = c * c
+    if not g.fits(c + top) or not _steps(g, h, fibres):
+        return False
+    d, done = _climb(g, fibres.values(), top)
+    if not done:
+        return False
+    adj = h.adjacency
+    levels = [g.balls(r) for r in range(c + top - d + 1)]
+    p, changed = [0] * (g.n + 1), True
+    while changed:
+        changed = False
+        for x, fibre in fibres.items():
+            for y in adj[x]:
+                groups = {}
+                for v in fibres[y]:
+                    groups[p[v]] = groups.get(p[v], 0) | 1 << v
+                for w in fibre:
+                    while not any(
+                        levels[c + p[w] - pv][w] & mask
+                        for pv, mask in groups.items() if pv <= c + p[w]
+                    ):
+                        if p[w] == top - d:
+                            return False
+                        p[w] += 1
+                        changed = True
+    return True

@@ -34,7 +34,7 @@ from coarsetd.graph import bfs, single_source_distances
 from coarsetd.pipeline import Partition, layered_parts
 from coarsetd.quasiiso import _fibres, _floor, _lifts
 from helpers import cycle_graph, path_graph
-from oracles import distance_rows, qi_constant_brute
+from oracles import distance_rows, plain_lifts, qi_constant_brute
 
 
 def all_to_one(g):
@@ -328,13 +328,13 @@ def test_pulled_back_bags_build_no_power_graph(monkeypatch, k, s):
     assert all(r.parts == (out.bag(t),) for t, r in result.per_bag.items())
 
 
-def test_pullback_weak_constant_reported_before_invalid_host():
+def test_pullback_invalid_host_reported_before_weak_constant():
     g = cycle_graph(6)
     k1, phi = all_to_one(g)
     td_h = TreeDecomposition(Graph(1), {1: set()})  # leaves vertex 1 out
     with pytest.raises(InvalidDecompositionError):
         pullback_decomposition(g, k1, phi, td_h, 2)
-    with pytest.raises(NotWithinError):
+    with pytest.raises(InvalidDecompositionError):  # phi is not a 1-qi either
         pullback_decomposition(g, k1, phi, td_h, 1)
 
 
@@ -480,6 +480,38 @@ def test_floor_the_certificate_holds_at_is_the_constant(maps):
         assert lo == qi_constant_brute(g, h, mapping, g.n + h.n)
 
 
+@given(
+    st.one_of(perturbed_subdivisions(), cluster_maps(), onto_maps(), path_ktree_quotients()),
+    st.integers(1, 5),
+)
+@settings(max_examples=300, deadline=None)
+def test_lifts_agrees_with_the_plain_iteration(maps, c):
+    """The cached reach masks give the verdict of the per-member iteration."""
+    g, h, mapping = maps
+    fibres = _fibres(g, h, QuasiIsometryMap(g, h, mapping), c)
+    passed = _lifts(g, h, fibres, c)
+    event(f"certificate passes: {passed}")
+    assert passed == plain_lifts(g, h, fibres, c)
+
+
+@pytest.mark.parametrize("k, s, c, verdict", [(2, 1, 2, True), (1, 2, 2, False)])
+def test_lifts_agrees_where_potentials_rise(k, s, c, verdict):
+    """Small subdivided path-layout k-trees under their natural maps, where
+    some member has no neighbouring fibre within c at potential 0, so
+    potentials rise before the verdict: a 2-tree (s = 1) that lifts at
+    c = 2 after 17 rises over 3 passes, and a path (s = 2) that does not.
+    A reach mask kept past a rise in its fibre would pass the path."""
+    inst = gen_subdivided_ktree(k, 10, s, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    fibres = _fibres(g, h, phi, c)
+    dg = distance_rows(g)
+    assert any(
+        min(dg[w][v] for v in fibres[y]) > c
+        for x, fibre in fibres.items() for y in h.adjacency[x] for w in fibre
+    )
+    assert _lifts(g, h, fibres, c) == plain_lifts(g, h, fibres, c) == verdict
+
+
 def count_rows(monkeypatch):
     """Record the sources of every BFS row read, through either module."""
     rows = []
@@ -554,6 +586,18 @@ def test_pullback_measures_a_map_the_certificate_rejects(monkeypatch):
     assert len(solves) == 1
     assert out.bags == ball_unions(g, h, phi.mapping, td_h, 3)
     assert out.tree == td_h.tree and out.shape == td_h.shape
+
+
+def test_pullback_checks_the_host_decomposition_before_the_map(monkeypatch):
+    """The far-member map fails the certificate, so a pullback would measure
+    it from rows; a broken host decomposition is refused before either."""
+    g, h, phi, td_h = far_member_map()
+    broken = TreeDecomposition(td_h.tree, {**td_h.bags, 1: td_h.bag(1) - {min(td_h.bag(1))}})
+    assert not validate_decomposition(h, broken).ok
+    rows, solves = count_rows(monkeypatch), count_solves(monkeypatch)
+    with pytest.raises(InvalidDecompositionError, match="host decomposition invalid"):
+        pullback_decomposition(g, h, phi, broken, 3)
+    assert rows == [] and solves == []
 
 
 def test_pullback_below_the_constant_raises_the_measured_error():
