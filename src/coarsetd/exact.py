@@ -8,7 +8,11 @@ The branch-and-bound kernels `independent_mask` and `dominating_mask` run on
 adjacency bitmasks. `induced_masks` builds those straight from the host graph
 for any list of its vertices, so a bag or a cut is solved without building a
 Graph; `maximum_independent_set` and `minimum_dominating_set` wrap the
-kernels for a whole Graph.
+kernels for a whole Graph. `_dominating` is the one dominating search, over
+closed masks at any bit positions: `dominating_mask` gives it 0..n-1, and
+simwidth's certificates give it vertex ids off g's radius-1 level, which
+augment builds anyway (a call on a fresh graph builds it). The early exit of
+its greedy bound keeps the full scan's pick.
 """
 
 from __future__ import annotations
@@ -118,28 +122,41 @@ def dominating_mask(adj):
     """A minimum dominating set of the graph with adjacency masks `adj`
     (vertices 0..len(adj)-1, at least one), as a bitmask, by branch and
     bound."""
-    n = len(adj)
-    closed = [adj[i] | (1 << i) for i in range(n)]
-    full = (1 << n) - 1
-    max_cover = max(c.bit_count() for c in closed)
-    # branch on the undominated vertex with the fewest candidates, lowest id
-    # on ties: the first undominated one in this fixed order
-    order = sorted(range(n), key=lambda i: (closed[i].bit_count(), i))
+    return _dominating([a | 1 << i for i, a in enumerate(adj)], range(len(adj)))
 
-    # greedy upper bound: repeatedly take the vertex covering the most
+
+def _dominating(closed, vs):
+    """dominating_mask's search over any bit positions: `vs` lists the
+    vertices' positions in increasing order (at least one), and closed[v]
+    is the mask of v's closed neighbourhood among them. Position order is
+    the id order of every tie-break, so the witness does not depend on
+    where the bits sit."""
+    full = sum(1 << v for v in vs)
+    # greedy upper bound: repeatedly take the vertex covering the most; the
+    # first one that covers all that is left is the one the scan would pick
     greedy = 0
     undom = full
     while undom:
         pick = -1
         gain = -1
-        for i in range(n):
+        left = undom.bit_count()
+        for i in vs:
             got = (closed[i] & undom).bit_count()
             if got > gain:
                 gain = got
                 pick = i
+                if got == left:
+                    break
         greedy |= 1 << pick
         undom &= ~closed[pick]
+    # the search replaces the best only by a strictly smaller set
+    if greedy & (greedy - 1) == 0:
+        return greedy
     best_count, best = greedy.bit_count(), greedy
+    max_cover = max(closed[i].bit_count() for i in vs)
+    # branch on the undominated vertex with the fewest candidates, lowest id
+    # on ties: the first undominated one in this fixed order
+    order = sorted(vs, key=lambda i: (closed[i].bit_count(), i))
     # depth-first over an explicit stack, as in independent_mask
     stack = [(full, 0, 0)]
     while stack:

@@ -14,9 +14,8 @@ from .errors import EmptySetError, MalformedDecompositionError
 from .exact import (
     DEFAULT_CAP,
     _check_cap,
+    _dominating,
     _independent,
-    bag_masks,
-    dominating_mask,
 )
 from .graph import bfs, check_vertices, is_tree, sweep_path
 from .pipeline import PipelineReport, run_pipeline
@@ -191,19 +190,28 @@ def dominating_partition(g, s, cap=DEFAULT_CAP):
     Non-dominators join their smallest-id adjacent dominator, so each piece
     has weak diameter at most 2 in g and there are exactly gamma(g[s])
     pieces: a certificate that s is (gamma, 3)-centred.
+
+    The search runs on vertex-id bits, each member's mask in g's radius-1
+    level ANDed with the members' bits. simwidth_pipeline's augment builds
+    that level anyway; a call on a fresh graph builds it, as centred_check
+    builds g.balls(d). The early exit of the greedy bound keeps the greedy
+    pick, so the pieces are those of the search on g[s] relabelled.
     """
     members = frozenset(s)
     if not members:
         raise EmptySetError("cannot partition the empty set")
     vs = sorted(members)
-    adj = bag_masks(g, vs, cap)
-    chosen = dominating_mask(adj)
-    groups = {vs[i]: [vs[i]] for i in range(len(vs)) if chosen >> i & 1}
-    for i, v in enumerate(vs):
+    _check_cap(len(vs), cap, "graph")
+    check_vertices(g, vs)
+    ball, within = g.balls(1), sum(1 << v for v in vs)
+    closed = {v: ball[v] & within for v in vs}
+    chosen = _dominating(closed, vs)
+    groups = {v: [v] for v in vs if chosen >> v & 1}
+    for v in vs:
         if v not in groups:
             # the lowest bit is the smallest-id adjacent dominator
-            adjacent = adj[i] & chosen
-            groups[vs[(adjacent & -adjacent).bit_length() - 1]].append(v)
+            adjacent = closed[v] & chosen
+            groups[(adjacent & -adjacent).bit_length() - 1].append(v)
     return tuple(frozenset(group) for group in groups.values())
 
 

@@ -9,6 +9,7 @@ from itertools import combinations, permutations, product
 from operator import or_
 
 from coarsetd import BranchDecomposition, Graph, TreeDecomposition, weak_diameter
+from coarsetd.exact import dominating_mask, induced_masks
 from coarsetd.graph import _climb
 from coarsetd.quasiiso import _steps
 
@@ -315,6 +316,31 @@ def plain_dominating_mask(adj):
             m ^= bit
             stack.append((undominated & ~closed[u], chosen | bit, count + 1))
     return best
+
+
+def plain_dominating(closed, vs):
+    """plain_dominating_mask over any bit positions, with the signature of
+    exact._dominating: relabel the positions vs to 0..len(vs)-1, search,
+    and map the witness back."""
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = [sum(1 << pos[w] for w in vs if w != v and closed[v] >> w & 1) for v in vs]
+    found = plain_dominating_mask(adj)
+    return sum(1 << v for i, v in enumerate(vs) if found >> i & 1)
+
+
+def relabelled_dominating_partition(g, s):
+    """dominating_partition on the relabelled masks of g[s]: the dominating
+    set of dominating_mask(induced_masks(g, sorted(s))), and each other
+    member in the piece of its smallest-id adjacent dominator."""
+    vs = sorted(s)
+    adj = induced_masks(g, vs)
+    chosen = dominating_mask(adj)
+    groups = {vs[i]: [vs[i]] for i in range(len(vs)) if chosen >> i & 1}
+    for i, v in enumerate(vs):
+        if v not in groups:
+            j = next(j for j in range(len(vs)) if (adj[i] & chosen) >> j & 1)
+            groups[vs[j]].append(v)
+    return tuple(frozenset(group) for group in groups.values())
 
 
 def scan_random_tree(n, rng):

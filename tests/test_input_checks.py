@@ -13,10 +13,12 @@ from coarsetd import (
     MalformedDecompositionError,
     Partition,
     QuasiIsometryMap,
+    TooLargeError,
     TreeDecomposition,
     bipartite_partition,
     centred_check,
     decomposition_from_order,
+    dominating_partition,
     exact_treewidth,
     identity_map,
     minimum_diameter_bipartite_partition,
@@ -25,6 +27,7 @@ from coarsetd import (
     qi_constant,
     quotient_map,
     run_pipeline,
+    simwidth_pipeline,
     validate_decomposition,
 )
 from coarsetd.cli import main
@@ -67,6 +70,15 @@ INPUT_ERRORS = [
          ValueError, "c must be a positive integer"),
         ("leaf-map-keys", lambda: BranchDecomposition(EDGE, {1: 1, 3: 2}),
          MalformedDecompositionError, "leaf map must cover vertices 1..n exactly"),
+        # the certificates read g.balls(1), where entry 0 is 0 and entry -1 a
+        # real mask, so only the vertex check stops an id outside 1..n
+        *[(f"partition-vertex-{v}", lambda v=v: dominating_partition(P3, {v}),
+           ValueError, f"vertex {v} outside range 1..3") for v in (0, -1, 4)],
+        ("partition-cap", lambda: dominating_partition(P3, {0, 1, 2}, cap=2),
+         TooLargeError, "graph has size 3, exceeding the exact-solver cap 2"),
+        ("certificate-cap", lambda: simwidth_pipeline(
+            EDGE, BranchDecomposition(EDGE, {1: 1, 2: 2}), cap=1),
+         TooLargeError, "bag 1 has size 2, exceeding the exact-solver cap 1"),
         ("side-not-an-edge",
          lambda: BranchDecomposition(Graph(3, [(1, 2), (2, 3)]), {1: 1, 2: 3}).side((1, 3)),
          ValueError, "(1,3) is not a tree edge"),

@@ -27,6 +27,7 @@ import coarsetd.pipeline
 import coarsetd.quasiiso
 import coarsetd.simwidth
 from coarsetd import (
+    BranchDecomposition,
     CoarseTDError,
     Graph,
     NotWithinError,
@@ -61,7 +62,7 @@ from coarsetd import (
     weak_diameter,
 )
 from coarsetd.cli import main
-from coarsetd.exact import _independent
+from coarsetd.exact import _dominating, _independent
 from coarsetd.fileio import emit_bd, emit_graph
 from coarsetd.generators import (
     FAMILIES,
@@ -85,10 +86,12 @@ from oracles import (
     brute_gamma,
     centred_brute,
     distance_rows,
+    plain_dominating,
     plain_dominating_mask,
     plain_independent_mask,
     plain_spread,
     qi_constant_brute,
+    relabelled_dominating_partition,
     scan_sweep_path,
     side_cut_bags,
     simval_brute,
@@ -647,6 +650,39 @@ def test_dominating_partition_is_a_certificate(g, data):
     dm = distance_rows(g)
     for part in parts:
         assert all(dm[u][v] is not None and dm[u][v] <= 2 for u in part for v in part)
+
+
+@given(inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dominating_partition_matches_the_relabelled_masks(g, data):
+    """The certificate on vertex-id bits, read through g's radius-1 level,
+    gives piece for piece the partition of the search on the relabelled
+    masks of g[s], whether the level is built already or built by the
+    call, on disjoint unions with shuffled ids too."""
+    s = data.draw(st.sets(st.sampled_from(list(g.vertices)), min_size=1))
+    want = relabelled_dominating_partition(g, s)
+    g.balls(1)
+    assert dominating_partition(g, s, cap=64) == want
+    assert dominating_partition(fresh(g), s, cap=64) == want
+
+
+def test_a_leaf_bag_takes_its_smallest_covering_dominator():
+    """The leaf bag N[4] of sim_to_td: 2 is adjacent to every other member,
+    and so is 4, so the first vertex the greedy scan meets that covers the
+    bag, 2, is the one dominator."""
+    g = Graph(5, [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)])
+    bd = BranchDecomposition(
+        Graph(8, [(1, 6), (2, 6), (6, 7), (3, 7), (7, 8), (4, 8), (5, 8)]),
+        {v: v for v in g.vertices},
+    )
+    bag = sim_to_td(g, bd).bag(4)
+    assert bag == {2, 3, 4, 5}
+    vs = sorted(bag)
+    within = sum(1 << v for v in vs)
+    closed = {v: g.balls(1)[v] & within for v in vs}
+    assert _dominating(closed, vs) == plain_dominating(closed, vs) == 1 << 2
+    assert dominating_partition(g, bag) == (frozenset(bag),)
+    assert relabelled_dominating_partition(g, bag) == (frozenset(bag),)
 
 
 @st.composite

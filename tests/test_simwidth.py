@@ -23,7 +23,7 @@ from coarsetd.generators import random_branch_decomposition, random_connected_gr
 from helpers import complete_graph, cycle_graph, edgeless_graph, path_graph, star_graph
 from oracles import (
     is_induced_matching,
-    plain_dominating_mask,
+    plain_dominating,
     plain_independent_mask,
     simval_brute,
 )
@@ -386,12 +386,35 @@ def test_simwidth_pipeline_c6():
     assert report.pipeline.final_map.measured_q is not None
 
 
+def on_plain_searches(monkeypatch, g, bd):
+    """simwidth_pipeline with the plain searches patched in, and for each
+    certificate whether the plain search gave the kernel's witness mask."""
+    kernel = coarsetd.simwidth._dominating
+    same = []
+
+    def plain_search(closed, vs):
+        found = plain_dominating(closed, vs)
+        same.append(found == kernel(closed, vs))
+        return found
+
+    def plain_independent(adj, beat):
+        found = plain_independent_mask(adj)
+        return found if found.bit_count() > beat else 0
+
+    with monkeypatch.context() as patched:
+        patched.setattr(coarsetd.simwidth, "_dominating", plain_search)
+        patched.setattr(coarsetd.simwidth, "_independent", plain_independent)
+        return simwidth_pipeline(g, bd, cap=64, simval_cap=64), same
+
+
 def test_path_power_on_its_vertex_order_caterpillar(monkeypatch):
     """P_150^9 (u and v adjacent when 0 < |u - v| <= 9) on the caterpillar
     in vertex order: the first ends of any two edges across a cut lie
     within 9 of each other, so they are adjacent and the branch width is 1.
-    The bounded kernels give the branch width and the certificates of the
-    plain search."""
+    The bounded kernels give the branch width of the plain searches, and
+    every certificate's dominator is the plain search's. Every bag has
+    domination number 1, so one piece hides which vertex dominates it;
+    the witness masks are compared."""
     n, reach = 150, 9
     g = Graph(n, [
         (u, v) for u in range(1, n + 1) for v in range(u + 1, min(u + reach, n) + 1)
@@ -400,16 +423,27 @@ def test_path_power_on_its_vertex_order_caterpillar(monkeypatch):
     report = simwidth_pipeline(g, bd, cap=64, simval_cap=64)
     assert report.branch_width == 1 and report.width_out == 1
     assert report.checks and all(report.checks.values())
-
-    def plain_independent(adj, beat):
-        found = plain_independent_mask(adj)
-        return found if found.bit_count() > beat else 0
-
-    monkeypatch.setattr(coarsetd.simwidth, "dominating_mask", plain_dominating_mask)
-    monkeypatch.setattr(coarsetd.simwidth, "_independent", plain_independent)
-    plain = simwidth_pipeline(g, bd, cap=64, simval_cap=64)
+    plain, same = on_plain_searches(monkeypatch, g, bd)
     assert plain.branch_width == 1
+    assert len(same) == len(plain.certificates) == 2 * n - 2 and all(same)
     assert report.certificates == plain.certificates
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificates_are_the_plain_searchs_at_desk_scale(monkeypatch, seed):
+    """Random connected graphs as in the sim-width benchmark (n 16-28, p at
+    most 0.14), where bags need several dominators and the search runs:
+    every certificate is the plain search's, witness mask and pieces."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng.randint(16, 28), 0.14, rng)
+    bd = random_branch_decomposition(g, rng)
+    report = simwidth_pipeline(g, bd, cap=64, simval_cap=64)
+    assert report.bag_domination_max > 1
+    plain, same = on_plain_searches(monkeypatch, g, bd)
+    assert len(same) == len(plain.certificates) and all(same)
+    assert (plain.branch_width, plain.certificates) == (
+        report.branch_width, report.certificates
+    )
 
 
 def test_simwidth_pipeline_edgeless_clamps():
