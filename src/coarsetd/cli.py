@@ -22,7 +22,15 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import CoarseTDError
-from .exact import DEFAULT_CAP, TREEWIDTH_CAP, bag_masks, dominating_mask, exact_treewidth
+from .exact import (
+    DEFAULT_CAP,
+    TREEWIDTH_CAP,
+    _check_cap,
+    bag_masks,
+    dominating_mask,
+    exact_treewidth,
+)
+from .graph import _climb
 from .pipeline import (
     Partition,
     augment,
@@ -30,7 +38,7 @@ from .pipeline import (
     push_decomposition,
     run_pipeline,
 )
-from .quasiiso import QuasiIsometryMap, compose, measure, pullback_decomposition, qi_constant
+from .quasiiso import QuasiIsometryMap, _pullback, compose, measure, qi_constant
 from .report import Report, digest
 from .simwidth import (
     SIMVAL_CAP,
@@ -173,6 +181,7 @@ def metrics_cmd(ctx, graph_path, td_path, k, d):
     report = Report("metrics", parameters={"k": k, "d": d})
     g = _load(report, graph_path, fileio.parse_graph)
     td = _load_td(report, td_path, ctx.obj.shape, g)
+    require_valid(g, td)
     metrics = bag_metrics(g, td, cap=ctx.obj.cap())
     report.measured["width"] = td.width
     report.measured["independence_number"] = metrics.independence_number
@@ -217,6 +226,7 @@ def centred_check_cmd(ctx, graph_path, td_path, set_text, k, d, mode):
             report.details["witness"] = [sorted(p) for p in result.parts]
     else:
         td = _load_td(report, td_path, ctx.obj.shape, g)
+        require_valid(g, td)
         result = centred_check_decomposition(g, td, k, d, cap=ctx.obj.cap(), mode=mode)
         verdict = result.all_centred
     report.measured["verdict"] = (
@@ -304,6 +314,7 @@ def push_td_cmd(ctx, graph_path, td_path, part_path, out_path):
     report = Report("push-td")
     g = _load(report, graph_path, fileio.parse_graph)
     td = _load_td(report, td_path, ctx.obj.shape, g)
+    require_valid(g, td)
     partition = Partition(g, _load(report, part_path, fileio.parse_partition, n=g.n))
     pushed = push_decomposition(td, partition)
     q = partition.quotient
@@ -357,24 +368,36 @@ def pipeline_cmd(ctx, graph_path, td_path, k, d, budget, skip_centred_check, out
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())
 @click.pass_context
 def pullback_cmd(ctx, graph_path, host_path, map_path, td_path, c, out_path):
-    """Pull a host decomposition back along a c-quasi-isometry."""
+    """Pull a host decomposition back along a c-quasi-isometry.
+
+    Each bag is the union of at most k+1 preimage balls, one per host bag
+    member, so the (k+1, 3c^2)-centred check reads their diameters in one
+    climb of the level masks; where the climb stops short of them, the
+    exact per-bag check decides. A bag over --cap is refused first, as the
+    exact check refuses it.
+    """
     report = Report("pullback", parameters={"c": c})
     g = _load(report, graph_path, fileio.parse_graph)
     h = _load(report, host_path, fileio.parse_graph)
     phi = _load_map(report, map_path, g, h)
     td_h = _load_td(report, td_path, ctx.obj.shape, h)
-    out = pullback_decomposition(g, h, phi, td_h, c)
-    k = td_h.width
-    centred = centred_check_decomposition(
-        g, out, k + 1, 3 * c * c, cap=ctx.obj.cap(), mode="exact"
-    )
+    out, pieces = _pullback(g, h, phi, td_h, c)
+    k, d, cap = td_h.width, 3 * c * c, ctx.obj.cap()
+    # the first bag over the cap is refused as the exact check refuses it
+    each_bag(out, lambda bag: _check_cap(len(bag), cap, "bag"))
+    # a bag is the union of its host bag's <= k + 1 pieces, so pieces within
+    # d settle it (g is connected, so a climb that is done ends within d);
+    # where the climb stops short, the exact check decides
+    centred = _climb(g, pieces.values(), d)[1] or centred_check_decomposition(
+        g, out, k + 1, d, cap=cap, mode="exact"
+    ).all_centred is True
     valid = validate_decomposition(g, out)
     report.measured["width_host"] = k
     report.measured["width_out"] = out.width
     report.add_bound("centred_pieces", "k+1", k + 1)
-    report.add_bound("centred_diameter", "3c^2", 3 * c * c)
+    report.add_bound("centred_diameter", "3c^2", d)
     report.checks["valid"] = valid.ok
-    report.checks["centred"] = centred.all_centred is True
+    report.checks["centred"] = centred
     pathlib.Path(out_path).write_text(fileio.emit_td(out, g.n))
     _finish(ctx, report)
 

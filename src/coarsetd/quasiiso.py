@@ -62,6 +62,14 @@ the certificate holds at c = lo, q <= lo as well, so q = lo exactly. D
 is read off G's level masks only for a map that is onto and sends each
 edge to a vertex or an edge, and only up to the largest c^2 at which G
 fits the certificate's radius c + c^2.
+
+The pullback's bags come with their witness. The piece of host vertex x
+is the set of g-vertices whose image lies within c of x, and bag t is the
+union of the pieces of its host bag's members: at most k + 1 pieces, for
+a host decomposition of width k. The CLI reads every piece's weak
+diameter in one climb of G's level masks (`graph._climb`, capped at
+3c^2), which settles that the bags are (k + 1, 3c^2)-centred; where the
+climb stops short, it runs the exact per-bag check instead.
 """
 
 from __future__ import annotations
@@ -301,6 +309,13 @@ def pullback_decomposition(g, h, phi, td_h, c):
     phi is checked by the certificate of the module docstring, or where
     that fails by measuring its constant.
     """
+    return _pullback(g, h, phi, td_h, c)[0]
+
+
+def _pullback(g, h, phi, td_h, c):
+    """pullback_decomposition's decomposition and its witness: the pieces
+    {x: the g-vertices whose image lies within c of x} for every vertex x
+    of h, each bag being the union of its members' pieces."""
     if c < 1:
         raise ValueError("c must be a positive integer")
     fibres = _fibres(g, h, phi, c)
@@ -312,10 +327,8 @@ def pullback_decomposition(g, h, phi, td_h, c):
         x: [v for y in bfs(h.adjacency, [x], radius=c) for v in fibres.get(y, ())]
         for x in h.vertices
     }
-    bags = {
-        t: frozenset(v for x in td_h.bag(t) for v in balls[x]) for t in td_h.nodes
-    }
-    return TreeDecomposition(td_h.tree, bags, shape=td_h.shape)
+    bags = {t: frozenset().union(*map(balls.__getitem__, td_h.bag(t))) for t in td_h.nodes}
+    return TreeDecomposition(td_h.tree, bags, shape=td_h.shape), balls
 
 
 def _lifts(g, h, fibres, c):

@@ -31,7 +31,7 @@ from coarsetd import (
     validate_decomposition,
 )
 from coarsetd.cli import main
-from coarsetd.fileio import emit_graph, emit_td
+from coarsetd.fileio import emit_graph, emit_partition, emit_td
 from helpers import path_graph, single_bag_td
 
 P3 = path_graph(3)
@@ -108,6 +108,34 @@ def test_centred_check_cli_input_errors(tmp_path, monkeypatch, args, message):
     )
     assert result.exit_code == 1
     assert result.output == message
+
+
+# P3's decomposition with vertex 2 in bags 1 and 3 but not in bag 2
+GAP_TD = "s td 3 2 3\nb 1 1 2\nb 2 3\nb 3 2 3\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["metrics"],
+    ["metrics", "--k", "1", "--d", "2"],
+    ["centred-check", "--k", "1", "--d", "2"],
+    ["push-td", "--part", "p.part", "-o", "o.td"],
+    ["augment", "--d", "1", "-o", "aug"],
+    ["bipartite-partition", "-o", "o.part"],
+    ["pipeline", "--k", "1", "--d", "2", "-o", "pipe"],
+])
+def test_commands_that_use_a_td_refuse_an_invalid_one(tmp_path, monkeypatch, args):
+    """Every command that reads a .td as a decomposition of its graph, all
+    but validate-td, which reports the violation, refuses an invalid one
+    with one line and writes nothing. At d = 2 the gap's bags are one piece
+    each, so an unvalidated centred check would pass it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gr").write_text(emit_graph(P3))
+    (tmp_path / "t.td").write_text(GAP_TD)
+    (tmp_path / "p.part").write_text(emit_partition([[1], [2], [3]]))
+    result = CliRunner().invoke(main, [args[0], "--graph", "g.gr", "--td", "t.td", *args[1:]])
+    assert result.exit_code == 1
+    assert result.output == "Error: decomposition invalid: trace_disconnected at 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gr", "p.part", "t.td"]
 
 
 def test_a_failed_validation_is_false():

@@ -1,12 +1,18 @@
 import gc
+import json
+import pathlib
 import random
+import tempfile
 import time
 import weakref
 from math import inf
+from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
+import coarsetd.cli
 import coarsetd.graph
 import coarsetd.quasiiso
 
@@ -22,6 +28,7 @@ from coarsetd import (
     TreeDecomposition,
     centred_check_decomposition,
     compose,
+    decomposition_from_order,
     identity_map,
     measure,
     pullback_decomposition,
@@ -30,9 +37,11 @@ from coarsetd import (
     weak_diameter,
 )
 from coarsetd.generators import gen_ktree, gen_subdivided_ktree, random_connected_graph
-from coarsetd.graph import bfs, single_source_distances
+from coarsetd.cli import main
+from coarsetd.fileio import emit_graph, emit_map, emit_td
+from coarsetd.graph import _climb, bfs, single_source_distances
 from coarsetd.pipeline import Partition, layered_parts
-from coarsetd.quasiiso import _fibres, _floor, _lifts
+from coarsetd.quasiiso import _fibres, _floor, _lifts, _pullback
 from helpers import cycle_graph, path_graph
 from oracles import distance_rows, plain_lifts, qi_constant_brute
 
@@ -719,3 +728,102 @@ def test_a_long_map_that_is_not_onto_streams_rows(monkeypatch):
     rows = count_rows(monkeypatch)
     assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 2
     assert rows
+
+
+def pullback_cli(g, h, mapping, td_h, c, cap):
+    """The CLI pullback on files of these objects: its printed report, its
+    exit code and the .td it wrote (None if it wrote none)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = pathlib.Path(tmp)
+        files = {"g.gr": emit_graph(g), "h.gr": emit_graph(h), "m.map": emit_map(mapping),
+                 "h.td": emit_td(td_h, h.n)}
+        for name, text in files.items():
+            (folder / name).write_text(text)
+        result = CliRunner().invoke(main, [
+            "--cap", str(cap), "pullback", "--graph", str(folder / "g.gr"),
+            "--host", str(folder / "h.gr"), "--map", str(folder / "m.map"),
+            "--host-td", str(folder / "h.td"), "--c", str(c), "-o", str(folder / "out.td"),
+        ])
+        out = folder / "out.td"
+        return result.output, result.exit_code, out.read_text() if out.exists() else None
+
+
+@given(
+    st.one_of(perturbed_subdivisions(), cluster_maps(), onto_maps(), path_ktree_quotients()),
+    st.integers(1, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_pullback_witness_agrees_with_the_exact_check(maps, c):
+    """Every bag the pullback builds is the union of its host bag's pieces.
+    Where one climb puts every piece within 3c^2, the exact check finds
+    every bag (k+1, 3c^2)-centred; and the CLI prints and writes what a run
+    forced onto the exact check prints and writes."""
+    g, h, mapping = maps
+    phi = QuasiIsometryMap(g, h, mapping)
+    td_h = decomposition_from_order(h, list(h.vertices))
+    try:
+        out, pieces = _pullback(g, h, phi, td_h, c)
+    except NotWithinError:
+        event("not a c-quasi-isometry")
+        return
+    assert out.bags == {
+        t: frozenset(v for x in td_h.bag(t) for v in pieces[x]) for t in td_h.nodes
+    }
+    k, d = td_h.width, 3 * c * c
+    r, done = _climb(g, pieces.values(), d)
+    event(f"climb verifies: {done}")
+    if done:
+        assert r is not None and r <= d
+        exact = centred_check_decomposition(g, out, k + 1, d, cap=g.n)
+        assert all(result.centred is True for result in exact.per_bag.values())
+    witness = pullback_cli(g, h, mapping, td_h, c, g.n)
+    # a climb that never settles sends the CLI to the exact check
+    with mock.patch.object(coarsetd.cli, "_climb", lambda g, sets, cap: (0, False)):
+        assert pullback_cli(g, h, mapping, td_h, c, g.n) == witness
+    assert witness[1] == 0
+
+
+def test_a_widened_piece_sends_the_cli_to_the_exact_check(monkeypatch):
+    """A piece widened to all of g, far past 3c^2, stops the climb at its
+    cap: the CLI then runs the exact check once, over the real bags, and
+    reports its verdict."""
+    inst = gen_subdivided_ktree(1, 30, 1, random.Random(0), "path")
+    g, h, phi, td_h = inst.graph, inst.base_graph, inst.qi_map, inst.base_decomposition
+    c, d = 2, 12
+    assert weak_diameter(g, g.vertices) > d
+
+    def widened(*args):
+        out, pieces = _pullback(*args)
+        return out, {**pieces, 1: list(g.vertices)}
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return centred_check_decomposition(*args, **kwargs)
+
+    monkeypatch.setattr(coarsetd.cli, "_pullback", widened)
+    monkeypatch.setattr(coarsetd.cli, "centred_check_decomposition", counting)
+    report, code, written = pullback_cli(g, h, phi.mapping, td_h, c, 128)
+    assert len(calls) == 1
+    out = pullback_decomposition(g, h, phi, td_h, c)
+    exact = centred_check_decomposition(g, out, td_h.width + 1, d, cap=128).all_centred
+    assert json.loads(report)["checks"]["centred"] is (exact is True)
+    assert (code, written) == (0, emit_td(out, g.n))
+
+
+def test_pullback_refuses_the_first_bag_over_the_cap():
+    """P8 onto itself at c = 1, through host bags {1,2}, {2..5}, {5..8}:
+    the pulled-back bags have 3, 6 and 5 vertices, so at --cap 4 bag 2 is
+    the first over the cap, before bag 3, and nothing is written."""
+    g = path_graph(8)
+    td_h = TreeDecomposition(path_graph(3), {1: {1, 2}, 2: {2, 3, 4, 5}, 3: {5, 6, 7, 8}})
+    mapping = {v: v for v in g.vertices}
+    sizes = pullback_decomposition(g, g, identity_map(g, g), td_h, 1).bags
+    assert [len(sizes[t]) for t in (1, 2, 3)] == [3, 6, 5]
+    assert pullback_cli(g, g, mapping, td_h, 1, 4) == (
+        "Error: bag 2 has size 6, exceeding the exact-solver cap 4\n", 1, None
+    )
+    assert pullback_cli(g, g, mapping, td_h, 1, 6)[1:] == (
+        0, emit_td(pullback_decomposition(g, g, identity_map(g, g), td_h, 1), g.n)
+    )
