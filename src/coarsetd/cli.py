@@ -4,10 +4,18 @@ One subcommand per operation; every subcommand prints a JSON report and
 exits nonzero exactly when some reported check failed. Global flags:
 --seed for generators, --cap for the exact solvers, --shape to enforce a
 decomposition shape when parsing .td files.
+
+Input files are declared once: each subcommand names its input flags, and
+`_command` reads every file once and parses it in flag order by its
+`_INPUTS` entry, checked against the inputs before it (a .td against its
+graph's vertex count, a map against both graphs, a partition against its
+graph). Each file's digest is recorded under its name, or under its path
+as given if that name already holds another digest.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
 
 import click
@@ -50,17 +58,6 @@ from .simwidth import (
 from .generators import FAMILIES, generate_corpus
 
 
-class _Ctx:
-    def __init__(self, seed, cap, shape):
-        self.seed = seed
-        self.shape = shape
-        self._cap = cap
-
-    def cap(self, default=DEFAULT_CAP):
-        """The user's --cap when given, otherwise the solver's own default."""
-        return default if self._cap is None else self._cap
-
-
 class _Group(click.Group):
     """Turns package errors, rejected arguments, unreadable or unwritable
     paths and exhausted memory into clean CLI failures: an `Error:` line and
@@ -85,34 +82,100 @@ class _Group(click.Group):
                    f"sim-width cuts {SIMVAL_CAP}; treewidth {TREEWIDTH_CAP}]")
 @click.option("--shape", type=click.Choice(["tree", "path"]), default="tree",
               show_default=True, help="Shape to enforce when parsing .td files.")
-@click.pass_context
-def main(ctx, seed, cap, shape):
+def main(seed, cap, shape):
     """Tree decompositions, quasi-isometries, and width-reducing pipelines."""
-    ctx.obj = _Ctx(seed, cap, shape)
+    click.get_current_context().obj = {"seed": seed, "cap": cap, "shape": shape}
 
 
-def _load(report, path, parse, **kw):
-    """Read an input file, record its digest in the report under its name
-    (its path as given if that name holds another digest), and parse it."""
+def _flag(name):
+    """A global flag's value: seed, cap or shape."""
+    return click.get_current_context().obj[name]
+
+
+def _cap(default=DEFAULT_CAP):
+    """The user's --cap when given, otherwise the solver's own default."""
+    return default if _flag("cap") is None else _flag("cap")
+
+
+def _td(text, path, g, valid):
+    td, host_n = fileio.parse_td(text, shape=_flag("shape"))
+    if host_n != g.n:
+        raise click.ClickException(
+            f"{path}: decomposition is for {host_n} vertices, graph has {g.n}"
+        )
+    if valid:
+        require_valid(g, td)
+    return td
+
+
+def _map(text, g, h):
+    return QuasiIsometryMap(g, h, fileio.parse_map(text, n_source=g.n, n_target=h.n))
+
+
+def _graph(text, **_):
+    return fileio.parse_graph(text)
+
+
+# Each input flag's parser. It gets the file's text and path, the command's
+# own options, `valid` (validate a --td on load) and the inputs parsed
+# before it, by name: graph, host, mid, td, map1, ...
+_INPUTS = {
+    "--graph": _graph,
+    "--host": _graph,
+    "--mid": _graph,
+    "--td": lambda text, path, graph, valid, **_: _td(text, path, graph, valid),
+    "--host-td": lambda text, path, host, **_: _td(text, path, host, False),
+    "--map": lambda text, graph, host, **_: _map(text, graph, host),
+    # compose measures its first map before it reads the second
+    "--map1": lambda text, graph, mid, qmax, **_: measure(
+        graph, mid, _map(text, graph, mid), qmax),
+    "--map2": lambda text, mid, host, qmax, **_: measure(
+        mid, host, _map(text, mid, host), qmax),
+    "--part": lambda text, graph, **_: Partition(
+        graph, fileio.parse_partition(text, n=graph.n)),
+    "--bd": lambda text, **_: fileio.parse_bd(text),
+}
+
+
+def _read(report, path):
+    """An input file's text, its digest recorded under the file's name (its
+    path as given if that name holds another digest)."""
     text = pathlib.Path(path).read_text()
     sha = digest(text)
     if report.inputs.setdefault(pathlib.Path(path).name, sha) != sha:
         report.inputs[str(path)] = sha
-    return parse(text, **kw)
+    return text
 
 
-def _load_td(report, path, shape, host):
-    td, host_n = _load(report, path, fileio.parse_td, shape=shape)
-    if host_n != host.n:
-        raise click.ClickException(
-            f"{path}: decomposition is for {host_n} vertices, graph has {host.n}"
-        )
-    return td
+def _command(name, *flags, optional=(), valid=False, check=None):
+    """Register subcommand `name` reading the input files `flags`.
 
+    Their options come first in --help, in flag order, each an existing
+    path, required unless listed in `optional`. `check(options)` runs before
+    any file is read, and `valid` has a --td validated where it is read. The
+    command gets a Report, the parsed inputs in flag order (None for an
+    optional one not given) and its own options; it returns nothing, or the
+    output directory and the files to write there.
+    """
+    def decorate(f):
+        for flag in reversed(flags):
+            click.option(flag, required=flag not in optional,
+                         type=click.Path(exists=True))(f)
 
-def _load_map(report, path, g, h):
-    mapping = _load(report, path, fileio.parse_map, n_source=g.n, n_target=h.n)
-    return QuasiIsometryMap(g, h, mapping)
+        @functools.wraps(f)
+        def run(**options):
+            if check is not None:
+                check(options)
+            report, parsed = Report(name), {}
+            for flag in flags:
+                key = flag[2:].replace("-", "_")
+                path = options.pop(key)
+                parsed[key] = None if path is None else _INPUTS[flag](
+                    _read(report, path), path=path, valid=valid, **options, **parsed)
+            _finish(report, *(f(report, *parsed.values(), **options) or ()))
+
+        return main.command(name)(run)
+    return decorate
 
 
 def _bag_domination(g, td, cap):
@@ -132,7 +195,7 @@ def _stage_files(h, td, phi):
     ]
 
 
-def _finish(ctx, report, outdir=None, artifacts=()):
+def _finish(report, outdir=None, artifacts=()):
     if outdir is not None:
         out = pathlib.Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -140,7 +203,7 @@ def _finish(ctx, report, outdir=None, artifacts=()):
             (out / name).write_text(text)
         (out / "report.json").write_text(report.to_json())
     click.echo(report.to_json(), nl=False)
-    ctx.exit(0 if report.ok else 1)
+    click.get_current_context().exit(0 if report.ok else 1)
 
 
 def _parse_set(text):
@@ -150,15 +213,9 @@ def _parse_set(text):
         raise click.ClickException(f"bad vertex set {text!r}") from None
 
 
-@main.command("validate-td")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
-@click.pass_context
-def validate_td_cmd(ctx, graph_path, td_path):
+@_command("validate-td", "--graph", "--td")
+def validate_td_cmd(report, g, td):
     """Check a decomposition against its graph."""
-    report = Report("validate-td")
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
     result = validate_decomposition(g, td)
     report.measured["width"] = td.width
     report.checks["valid"] = result.ok
@@ -167,22 +224,15 @@ def validate_td_cmd(ctx, graph_path, td_path):
             "kind": result.kind,
             "witness": result.witness,
         }
-    _finish(ctx, report)
 
 
-@main.command("metrics")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@_command("metrics", "--graph", "--td", valid=True)
 @click.option("--k", type=int, default=None, help="Centred pieces per bag.")
 @click.option("--d", type=int, default=None, help="Centred piece diameter.")
-@click.pass_context
-def metrics_cmd(ctx, graph_path, td_path, k, d):
+def metrics_cmd(report, g, td, k, d):
     """Per-bag independence/domination numbers, optional centred verdicts."""
-    report = Report("metrics", parameters={"k": k, "d": d})
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
-    require_valid(g, td)
-    metrics = bag_metrics(g, td, cap=ctx.obj.cap())
+    report.parameters = {"k": k, "d": d}
+    metrics = bag_metrics(g, td, cap=_cap())
     report.measured["width"] = td.width
     report.measured["independence_number"] = metrics.independence_number
     report.measured["domination_number"] = metrics.domination_number
@@ -198,97 +248,74 @@ def metrics_cmd(ctx, graph_path, td_path, k, d):
         metrics.domination_number <= metrics.independence_number
     )
     if k is not None and d is not None:
-        centred = centred_check_decomposition(g, td, k, d, cap=ctx.obj.cap())
+        centred = centred_check_decomposition(g, td, k, d, cap=_cap())
         report.checks["centred"] = centred.all_centred is True
-    _finish(ctx, report)
 
 
-@main.command("centred-check")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", type=click.Path(exists=True), default=None)
+def _td_or_set(options):
+    if (options["td"] is None) == (options["set_text"] is None):
+        raise click.ClickException("pass exactly one of --td or --set")
+
+
+@_command("centred-check", "--graph", "--td", optional=("--td",), valid=True,
+          check=_td_or_set)
 @click.option("--set", "set_text", default=None, help="Vertex set v1,v2,...")
 @click.option("--k", type=int, required=True)
 @click.option("--d", type=int, required=True)
 @click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact",
               show_default=True)
-@click.pass_context
-def centred_check_cmd(ctx, graph_path, td_path, set_text, k, d, mode):
+def centred_check_cmd(report, g, td, set_text, k, d, mode):
     """Check a vertex set (or every bag of a decomposition) for (k,d)-centredness."""
-    if (td_path is None) == (set_text is None):
-        raise click.ClickException("pass exactly one of --td or --set")
-    report = Report("centred-check", parameters={"k": k, "d": d, "mode": mode})
-    g = _load(report, graph_path, fileio.parse_graph)
+    report.parameters = {"k": k, "d": d, "mode": mode}
     if set_text is not None:
         members = _parse_set(set_text)
-        result = centred_check(g, members, k, d, cap=ctx.obj.cap(), mode=mode)
+        result = centred_check(g, members, k, d, cap=_cap(), mode=mode)
         verdict = result.centred
         if result.parts is not None:
             report.details["witness"] = [sorted(p) for p in result.parts]
     else:
-        td = _load_td(report, td_path, ctx.obj.shape, g)
-        require_valid(g, td)
-        result = centred_check_decomposition(g, td, k, d, cap=ctx.obj.cap(), mode=mode)
+        result = centred_check_decomposition(g, td, k, d, cap=_cap(), mode=mode)
         verdict = result.all_centred
     report.measured["verdict"] = (
         "true" if verdict is True else "false" if verdict is False else "unknown"
     )
     report.checks["centred"] = verdict is True
-    _finish(ctx, report)
 
 
-@main.command("augment")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@_command("augment", "--graph", "--td", valid=True)
 @click.option("--d", type=int, required=True)
 @click.option("-o", "--output", "outdir", required=True, type=click.Path())
-@click.pass_context
-def augment_cmd(ctx, graph_path, td_path, d, outdir):
+def augment_cmd(report, g, td, d, outdir):
     """Join bag-mates at distance <= d; writes h.gr, map.map, h.td."""
-    report = Report("augment", parameters={"d": d})
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
-    require_valid(g, td)
+    report.parameters = {"d": d}
     h, phi = augment(g, td, d)
     report.measured["added_edges"] = h.m - g.m
     if phi.measured_q is not None:
         report.measured["identity_constant"] = phi.measured_q
         report.add_bound("identity_constant", "d", max(d, 1))
         report.checks["identity_constant_le_d"] = phi.measured_q <= max(d, 1)
-    _finish(ctx, report, outdir, _stage_files(h, td, phi))
+    return outdir, _stage_files(h, td, phi)
 
 
-@main.command("quotient")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--part", "part_path", required=True, type=click.Path(exists=True))
+@_command("quotient", "--graph", "--part")
 @click.option("-o", "--output", "out_path", default=None, type=click.Path())
-@click.pass_context
-def quotient_cmd(ctx, graph_path, part_path, out_path):
+def quotient_cmd(report, g, partition, out_path):
     """Contract the parts of a partition."""
-    report = Report("quotient")
-    g = _load(report, graph_path, fileio.parse_graph)
-    partition = Partition(g, _load(report, part_path, fileio.parse_partition, n=g.n))
     q = partition.quotient
     report.measured["parts"] = len(partition)
     report.measured["quotient_vertices"] = q.n
     report.measured["quotient_edges"] = q.m
     if out_path is not None:
         pathlib.Path(out_path).write_text(fileio.emit_graph(q))
-    _finish(ctx, report)
 
 
-@main.command("bipartite-partition")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@_command("bipartite-partition", "--graph", "--td", valid=True)
 @click.option("--budget", type=int, default=None)
 @click.option("-o", "--output", "out_path", default=None, type=click.Path())
-@click.pass_context
-def bipartite_partition_cmd(ctx, graph_path, td_path, budget, out_path):
+def bipartite_partition_cmd(report, g, td, budget, out_path):
     """Partition into connected parts with a bipartite quotient."""
-    report = Report("bipartite-partition", parameters={"budget": budget})
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
-    require_valid(g, td)
-    gamma = _bag_domination(g, td, ctx.obj.cap())
+    report.parameters = {"budget": budget}
+    gamma = _bag_domination(g, td, _cap())
     result = bipartite_partition(g, budget=budget)
     report.measured["max_diameter"] = result.max_diameter
     report.measured["domination_number"] = gamma
@@ -300,51 +327,35 @@ def bipartite_partition_cmd(ctx, graph_path, td_path, budget, out_path):
         pathlib.Path(out_path).write_text(
             fileio.emit_partition([sorted(p) for p in result.partition.parts])
         )
-    _finish(ctx, report)
 
 
-@main.command("push-td")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
-@click.option("--part", "part_path", required=True, type=click.Path(exists=True))
+@_command("push-td", "--graph", "--td", "--part", valid=True)
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())
-@click.pass_context
-def push_td_cmd(ctx, graph_path, td_path, part_path, out_path):
+def push_td_cmd(report, g, td, partition, out_path):
     """Push a decomposition through a contraction."""
-    report = Report("push-td")
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
-    require_valid(g, td)
-    partition = Partition(g, _load(report, part_path, fileio.parse_partition, n=g.n))
     pushed = push_decomposition(td, partition)
     q = partition.quotient
     result = validate_decomposition(q, pushed)
     report.measured["width"] = pushed.width
     report.checks["valid"] = result.ok
     pathlib.Path(out_path).write_text(fileio.emit_td(pushed, q.n))
-    _finish(ctx, report)
 
 
-@main.command("pipeline")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--td", "td_path", required=True, type=click.Path(exists=True))
+@_command("pipeline", "--graph", "--td")
 @click.option("--k", type=int, required=True)
 @click.option("--d", type=int, required=True)
 @click.option("--budget", type=int, default=None)
 @click.option("--skip-centred-check", is_flag=True,
               help="Check bag independence <= k instead of (k,d)-centredness.")
 @click.option("-o", "--output", "outdir", required=True, type=click.Path())
-@click.pass_context
-def pipeline_cmd(ctx, graph_path, td_path, k, d, budget, skip_centred_check, outdir):
+def pipeline_cmd(report, g, td, k, d, budget, skip_centred_check, outdir):
     """Full forward pipeline; writes h.gr, h.td, map.map, report.json."""
-    report = Report("pipeline", parameters={"k": k, "d": d, "budget": budget})
-    g = _load(report, graph_path, fileio.parse_graph)
-    td = _load_td(report, td_path, ctx.obj.shape, g)
+    report.parameters = {"k": k, "d": d, "budget": budget}
     result = run_pipeline(
         g, td, k, d,
         check_centred=not skip_centred_check,
         budget=budget,
-        cap=ctx.obj.cap(),
+        cap=_cap(),
     )
     summary = result.to_dict()
     report.top_level.update(summary)
@@ -354,20 +365,15 @@ def pipeline_cmd(ctx, graph_path, td_path, k, d, budget, skip_centred_check, out
     report.add_bound("width_out", "2k-1", 2 * k - 1)
     report.add_bound("claimed_bound", "(d+2)*F", result.claimed_bound)
     report.checks.update(result.checks)
-    _finish(ctx, report, outdir, _stage_files(
+    return outdir, _stage_files(
         result.final_graph, result.final_decomposition, result.final_map
-    ))
+    )
 
 
-@main.command("pullback")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--host", "host_path", required=True, type=click.Path(exists=True))
-@click.option("--map", "map_path", required=True, type=click.Path(exists=True))
-@click.option("--host-td", "td_path", required=True, type=click.Path(exists=True))
+@_command("pullback", "--graph", "--host", "--map", "--host-td")
 @click.option("--c", type=int, required=True)
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())
-@click.pass_context
-def pullback_cmd(ctx, graph_path, host_path, map_path, td_path, c, out_path):
+def pullback_cmd(report, g, h, phi, td_h, c, out_path):
     """Pull a host decomposition back along a c-quasi-isometry.
 
     Each bag is the union of at most k+1 preimage balls, one per host bag
@@ -376,13 +382,9 @@ def pullback_cmd(ctx, graph_path, host_path, map_path, td_path, c, out_path):
     exact per-bag check decides. A bag over --cap is refused first, as the
     exact check refuses it.
     """
-    report = Report("pullback", parameters={"c": c})
-    g = _load(report, graph_path, fileio.parse_graph)
-    h = _load(report, host_path, fileio.parse_graph)
-    phi = _load_map(report, map_path, g, h)
-    td_h = _load_td(report, td_path, ctx.obj.shape, h)
+    report.parameters = {"c": c}
     out, pieces = _pullback(g, h, phi, td_h, c)
-    k, d, cap = td_h.width, 3 * c * c, ctx.obj.cap()
+    k, d, cap = td_h.width, 3 * c * c, _cap()
     # the first bag over the cap is refused as the exact check refuses it
     each_bag(out, lambda bag: _check_cap(len(bag), cap, "bag"))
     # a bag is the union of its host bag's <= k + 1 pieces, so pieces within
@@ -399,46 +401,24 @@ def pullback_cmd(ctx, graph_path, host_path, map_path, td_path, c, out_path):
     report.checks["valid"] = valid.ok
     report.checks["centred"] = centred
     pathlib.Path(out_path).write_text(fileio.emit_td(out, g.n))
-    _finish(ctx, report)
 
 
-@main.command("qi-constant")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--host", "host_path", required=True, type=click.Path(exists=True))
-@click.option("--map", "map_path", required=True, type=click.Path(exists=True))
+@_command("qi-constant", "--graph", "--host", "--map")
 @click.option("--qmax", type=int, default=64, show_default=True)
-@click.pass_context
-def qi_constant_cmd(ctx, graph_path, host_path, map_path, qmax):
+def qi_constant_cmd(report, g, h, phi, qmax):
     """Minimal quasi-isometry constant of a vertex map."""
-    report = Report("qi-constant", parameters={"qmax": qmax})
-    g = _load(report, graph_path, fileio.parse_graph)
-    h = _load(report, host_path, fileio.parse_graph)
-    phi = _load_map(report, map_path, g, h)
-    q = qi_constant(g, h, phi, qmax)
-    report.measured["q"] = q
+    report.parameters = {"qmax": qmax}
+    report.measured["q"] = qi_constant(g, h, phi, qmax)
     report.checks["within_qmax"] = True
-    _finish(ctx, report)
 
 
-@main.command("compose")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--mid", "mid_path", required=True, type=click.Path(exists=True))
-@click.option("--host", "host_path", required=True, type=click.Path(exists=True))
-@click.option("--map1", "map1_path", required=True, type=click.Path(exists=True))
-@click.option("--map2", "map2_path", required=True, type=click.Path(exists=True))
+@_command("compose", "--graph", "--mid", "--host", "--map1", "--map2")
 @click.option("--qmax", type=int, default=64, show_default=True,
               help="Budget for measuring the two input maps.")
 @click.option("-o", "--output", "out_path", default=None, type=click.Path())
-@click.pass_context
-def compose_cmd(ctx, graph_path, mid_path, host_path, map1_path, map2_path, qmax,
-                out_path):
+def compose_cmd(report, g, mid, h, phi1, phi2, qmax, out_path):
     """Compose two maps; the result is a q(c+2)-quasi-isometry."""
-    report = Report("compose", parameters={"qmax": qmax})
-    g = _load(report, graph_path, fileio.parse_graph)
-    mid = _load(report, mid_path, fileio.parse_graph)
-    h = _load(report, host_path, fileio.parse_graph)
-    phi1 = measure(g, mid, _load_map(report, map1_path, g, mid), qmax)
-    phi2 = measure(mid, h, _load_map(report, map2_path, mid, h), qmax)
+    report.parameters = {"qmax": qmax}
     composed = compose(phi1, phi2)
     bound = phi2.measured_q * (phi1.measured_q + 2)
     report.measured["c"] = phi1.measured_q
@@ -448,34 +428,21 @@ def compose_cmd(ctx, graph_path, mid_path, host_path, map1_path, map2_path, qmax
     report.checks["composed_le_bound"] = composed.measured_q <= bound
     if out_path is not None:
         pathlib.Path(out_path).write_text(fileio.emit_map(composed.mapping))
-    _finish(ctx, report)
 
 
-@main.command("simval")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
+@_command("simval", "--graph")
 @click.option("--set", "set_text", required=True, help="Vertex set v1,v2,...")
-@click.pass_context
-def simval_cmd(ctx, graph_path, set_text):
+def simval_cmd(report, g, set_text):
     """Maximum induced matching across a vertex cut."""
-    report = Report("simval")
-    g = _load(report, graph_path, fileio.parse_graph)
-    value = simval(g, _parse_set(set_text), cap=ctx.obj.cap(SIMVAL_CAP))
-    report.measured["simval"] = value
-    _finish(ctx, report)
+    report.measured["simval"] = simval(g, _parse_set(set_text), cap=_cap(SIMVAL_CAP))
 
 
-@main.command("sim-to-td")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--bd", "bd_path", required=True, type=click.Path(exists=True))
+@_command("sim-to-td", "--graph", "--bd")
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())
-@click.pass_context
-def sim_to_td_cmd(ctx, graph_path, bd_path, out_path):
+def sim_to_td_cmd(report, g, bd, out_path):
     """Convert a branch decomposition to a tree decomposition."""
-    report = Report("sim-to-td")
-    g = _load(report, graph_path, fileio.parse_graph)
-    bd = _load(report, bd_path, fileio.parse_bd)
-    k, td = _width_and_td(g, bd, ctx.obj.cap(SIMVAL_CAP))
-    gamma = _bag_domination(g, td, ctx.obj.cap())
+    k, td = _width_and_td(g, bd, _cap(SIMVAL_CAP))
+    gamma = _bag_domination(g, td, _cap())
     valid = validate_decomposition(g, td)
     report.measured["branch_width"] = k
     report.measured["width"] = td.width
@@ -484,22 +451,16 @@ def sim_to_td_cmd(ctx, graph_path, bd_path, out_path):
     report.checks["valid"] = valid.ok
     report.checks["domination_le_6k"] = gamma <= six_k(k)
     pathlib.Path(out_path).write_text(fileio.emit_td(td, g.n))
-    _finish(ctx, report)
 
 
-@main.command("sim-pipeline")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--bd", "bd_path", required=True, type=click.Path(exists=True))
+@_command("sim-pipeline", "--graph", "--bd")
 @click.option("--budget", type=int, default=None)
 @click.option("-o", "--output", "outdir", required=True, type=click.Path())
-@click.pass_context
-def sim_pipeline_cmd(ctx, graph_path, bd_path, budget, outdir):
+def sim_pipeline_cmd(report, g, bd, budget, outdir):
     """Run the sim-width pipeline; writes h.gr, h.td, map.map, report.json."""
-    report = Report("sim-pipeline", parameters={"budget": budget})
-    g = _load(report, graph_path, fileio.parse_graph)
-    bd = _load(report, bd_path, fileio.parse_bd)
+    report.parameters = {"budget": budget}
     result = simwidth_pipeline(
-        g, bd, cap=ctx.obj.cap(), simval_cap=ctx.obj.cap(SIMVAL_CAP), budget=budget
+        g, bd, cap=_cap(), simval_cap=_cap(SIMVAL_CAP), budget=budget
     )
     report.top_level.update(result.to_dict())
     report.measured.update(result.to_dict())
@@ -508,20 +469,14 @@ def sim_pipeline_cmd(ctx, graph_path, bd_path, budget, outdir):
     report.add_bound("centred_k", "6k", result.centred_k)
     report.checks.update(result.checks)
     p = result.pipeline
-    _finish(ctx, report, outdir, _stage_files(
-        p.final_graph, p.final_decomposition, p.final_map
-    ))
+    return outdir, _stage_files(p.final_graph, p.final_decomposition, p.final_map)
 
 
-@main.command("exact-tw")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
+@_command("exact-tw", "--graph")
 @click.option("-o", "--output", "out_path", default=None, type=click.Path())
-@click.pass_context
-def exact_tw_cmd(ctx, graph_path, out_path):
+def exact_tw_cmd(report, g, out_path):
     """Exact treewidth with a witness decomposition."""
-    report = Report("exact-tw")
-    g = _load(report, graph_path, fileio.parse_graph)
-    tw, witness = exact_treewidth(g, cap=ctx.obj.cap(TREEWIDTH_CAP))
+    tw, witness = exact_treewidth(g, cap=_cap(TREEWIDTH_CAP))
     valid = validate_decomposition(g, witness)
     report.measured["treewidth"] = tw
     report.measured["witness_width"] = witness.width
@@ -529,15 +484,13 @@ def exact_tw_cmd(ctx, graph_path, out_path):
     report.checks["witness_width_matches"] = witness.width == tw
     if out_path is not None:
         pathlib.Path(out_path).write_text(fileio.emit_td(witness, g.n))
-    _finish(ctx, report)
 
 
-@main.command("gen")
+@_command("gen")
 @click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
 @click.option("--param", "params", multiple=True, help="key=value, repeatable.")
 @click.option("-o", "--output", "outdir", required=True, type=click.Path())
-@click.pass_context
-def gen_cmd(ctx, family, params, outdir):
+def gen_cmd(report, family, params, outdir):
     """Generate a corpus instance; deterministic under --seed."""
     kv = {}
     for item in params:
@@ -545,9 +498,8 @@ def gen_cmd(ctx, family, params, outdir):
             raise click.ClickException(f"bad --param {item!r}, expected key=value")
         key, value = item.split("=", 1)
         kv[key] = value
-    report = Report("gen", parameters={"family": family, **kv,
-                                       "seed": ctx.obj.seed})
-    instance = generate_corpus(family, kv, seed=ctx.obj.seed)
+    report.parameters = {"family": family, **kv, "seed": _flag("seed")}
+    instance = generate_corpus(family, kv, seed=_flag("seed"))
     artifacts = [("g.gr", fileio.emit_graph(instance.graph))]
     if instance.decomposition is not None:
         artifacts.append(
@@ -565,7 +517,7 @@ def gen_cmd(ctx, family, params, outdir):
     if instance.qi_map is not None:
         artifacts.append(("m.map", fileio.emit_map(instance.qi_map.mapping)))
     report.measured["files"] = sorted(name for name, _ in artifacts)
-    _finish(ctx, report, outdir, artifacts)
+    return outdir, artifacts
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -489,3 +491,75 @@ def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
     result = run(["validate-td", "--graph", str(gr), "--td", str(td)])
     assert result.exit_code == 1
     assert result.output == "Error: out of memory\n"
+
+
+# every subcommand's options in --help order: (flags, required, default)
+OPTIONS = {
+    "validate-td": [("--graph", True, None), ("--td", True, None)],
+    "metrics": [("--graph", True, None), ("--td", True, None), ("--k", False, None),
+                ("--d", False, None)],
+    "centred-check": [("--graph", True, None), ("--td", False, None),
+                      ("--set", False, None), ("--k", True, None), ("--d", True, None),
+                      ("--mode", False, "exact")],
+    "augment": [("--graph", True, None), ("--td", True, None), ("--d", True, None),
+                ("-o --output", True, None)],
+    "quotient": [("--graph", True, None), ("--part", True, None),
+                 ("-o --output", False, None)],
+    "bipartite-partition": [("--graph", True, None), ("--td", True, None),
+                            ("--budget", False, None), ("-o --output", False, None)],
+    "push-td": [("--graph", True, None), ("--td", True, None), ("--part", True, None),
+                ("-o --output", True, None)],
+    "pipeline": [("--graph", True, None), ("--td", True, None), ("--k", True, None),
+                 ("--d", True, None), ("--budget", False, None),
+                 ("--skip-centred-check", False, False), ("-o --output", True, None)],
+    "pullback": [("--graph", True, None), ("--host", True, None), ("--map", True, None),
+                 ("--host-td", True, None), ("--c", True, None),
+                 ("-o --output", True, None)],
+    "qi-constant": [("--graph", True, None), ("--host", True, None),
+                    ("--map", True, None), ("--qmax", False, 64)],
+    "compose": [("--graph", True, None), ("--mid", True, None), ("--host", True, None),
+                ("--map1", True, None), ("--map2", True, None), ("--qmax", False, 64),
+                ("-o --output", False, None)],
+    "simval": [("--graph", True, None), ("--set", True, None)],
+    "sim-to-td": [("--graph", True, None), ("--bd", True, None),
+                  ("-o --output", True, None)],
+    "sim-pipeline": [("--graph", True, None), ("--bd", True, None),
+                     ("--budget", False, None), ("-o --output", True, None)],
+    "exact-tw": [("--graph", True, None), ("-o --output", False, None)],
+    "gen": [("--family", True, None), ("--param", False, None),
+            ("-o --output", True, None)],
+}
+INPUT_FLAGS = {"--graph", "--host", "--mid", "--td", "--host-td", "--map", "--map1",
+               "--map2", "--part", "--bd"}
+
+
+def test_each_subcommand_s_options_in_help_order():
+    options = {
+        name: [(" ".join(p.opts), p.required, p.to_info_dict()["default"])
+               for p in command.params]
+        for name, command in main.commands.items()
+    }
+    assert options == OPTIONS
+    for command in main.commands.values():
+        for p in command.params:
+            is_input = isinstance(p.type, click.Path) and p.type.exists
+            assert is_input == (p.opts[0] in INPUT_FLAGS), p.opts
+    for name in OPTIONS:
+        usage = run([name, "--help"]).output
+        flags = re.findall(r"^  (-[\w-]+(?:, --[\w-]+)?)", usage, re.M)
+        assert flags == [o[0].replace(" ", ", ") for o in OPTIONS[name]] + ["--help"]
+
+
+def test_readme_synopsis_names_every_option():
+    """The README's line for each subcommand names each of its options
+    and no flag it lacks."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    synopsis = dict(re.findall(r"^- `([a-z-]+) ([^`]*)`", section, re.M))
+    assert sorted(synopsis) == sorted(main.commands)
+    for name, command in main.commands.items():
+        named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", synopsis[name]))
+        flags = {flag for p in command.params for flag in p.opts}
+        assert named <= flags, (name, named - flags)
+        missing = [p.opts for p in command.params if not named & set(p.opts)]
+        assert not missing, (name, missing)

@@ -2,6 +2,8 @@
 pinned by exception type and exact message, like PARSE_ERRORS for the
 file parsers."""
 
+import itertools
+
 import pytest
 from click.testing import CliRunner
 
@@ -136,6 +138,96 @@ def test_commands_that_use_a_td_refuse_an_invalid_one(tmp_path, monkeypatch, arg
     assert result.exit_code == 1
     assert result.output == "Error: decomposition invalid: trace_disconnected at 2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gr", "p.part", "t.td"]
+
+
+def test_push_td_reports_an_invalid_td_before_a_disconnected_part(tmp_path, monkeypatch):
+    """The .td is validated where it is read, before --part is."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gr").write_text(emit_graph(P3))
+    (tmp_path / "gap.td").write_text(GAP_TD)
+    (tmp_path / "t.td").write_text(emit_td(single_bag_td(P3), P3.n))
+    (tmp_path / "p.part").write_text(emit_partition([[1, 3], [2]]))
+    outputs = {
+        td: CliRunner().invoke(main, ["push-td", "--graph", "g.gr", "--td", td,
+                                      "--part", "p.part", "-o", "o.td"]).output
+        for td in ("t.td", "gap.td")
+    }
+    assert outputs == {
+        "t.td": "Error: part [1, 3] does not induce a connected subgraph\n",
+        "gap.td": "Error: decomposition invalid: trace_disconnected at 2\n",
+    }
+
+
+def test_centred_check_refuses_td_and_set_before_reading_the_graph(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gr").write_text("p tw 2 1\n1 3\n")
+    (tmp_path / "t.td").write_text(emit_td(single_bag_td(P3), P3.n))
+    args = ["centred-check", "--graph", "g.gr", "--k", "1", "--d", "1"]
+    assert CliRunner().invoke(main, [*args, "--set", "1"]).output == (
+        "Error: line 2: vertex id outside 1..2\n"
+    )
+    result = CliRunner().invoke(main, [*args, "--td", "t.td", "--set", "1"])
+    assert result.exit_code == 1
+    assert result.output == "Error: pass exactly one of --td or --set\n"
+
+
+# a malformed file for each input of pullback and compose, and its error
+MALFORMED = {
+    "--graph": ("p tw 2 1\n1 3\n", "line 2: vertex id outside 1..2"),
+    "--mid": ("p tw 3 2\n1 2\n1 2\n", "line 3: duplicate edge (1, 2)"),
+    "--host": ("p tw 3 1\n1 4\n", "line 2: vertex id outside 1..3"),
+    "--map": ("1 1\n2\n", "line 2: expected '<source_vertex> <target_vertex>'"),
+    "--map1": ("1 1\n2\n", "line 2: expected '<source_vertex> <target_vertex>'"),
+    "--map2": ("1 1\n2 2\n3 3\n4 4\n", "line 4: source vertex outside 1..3"),
+    "--host-td": ("s td 1 2\n", "line 1: expected header 's td <bags> <max_bag_size> <n>'"),
+}
+
+
+def write_inputs(tmp_path, flags):
+    """P3, its identity map and its one-bag decomposition as `<flag>.ok`,
+    and each flag's malformed file as `<flag>.bad`."""
+    well_formed = {
+        "gr": emit_graph(P3),
+        "map": "1 1\n2 2\n3 3\n",
+        "td": emit_td(single_bag_td(P3), P3.n),
+    }
+    for flag in flags:
+        kind = "td" if flag.endswith("td") else "map" if "map" in flag else "gr"
+        (tmp_path / f"{flag[2:]}.ok").write_text(well_formed[kind])
+        (tmp_path / f"{flag[2:]}.bad").write_text(MALFORMED[flag][0])
+
+
+@pytest.mark.parametrize("command, flags, tail", [
+    ("pullback", ["--graph", "--host", "--map", "--host-td"], ["--c", "1", "-o", "o.td"]),
+    ("compose", ["--graph", "--mid", "--host", "--map1", "--map2"], []),
+])
+def test_the_earlier_of_two_malformed_inputs_is_reported(tmp_path, monkeypatch,
+                                                         command, flags, tail):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path, flags)
+    assert len({MALFORMED[flag][1] for flag in flags}) == len(flags)
+    for bad in [*itertools.combinations(flags, 1), *itertools.combinations(flags, 2)]:
+        args = [arg for flag in flags
+                for arg in (flag, flag[2:] + (".bad" if flag in bad else ".ok"))]
+        result = CliRunner().invoke(main, [command, *args, *tail])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {MALFORMED[bad[0]][1]}\n", bad
+
+
+def test_compose_measures_its_first_map_before_it_reads_the_second(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--graph", "--mid", "--host", "--map1", "--map2"]
+    write_inputs(tmp_path, flags)
+    args = ["compose", "--qmax", "0", "--graph", "graph.ok", "--mid", "mid.ok",
+            "--host", "host.ok"]
+    outputs = [
+        CliRunner().invoke(main, [*args, "--map1", f"map1.{a}", "--map2", f"map2.{b}"]).output
+        for a, b in (("bad", "ok"), ("ok", "bad"))
+    ]
+    assert outputs == [
+        f"Error: {MALFORMED['--map1'][1]}\n",
+        "Error: qmax must be a positive integer\n",
+    ]
 
 
 def test_a_failed_validation_is_false():
