@@ -5,7 +5,6 @@ from .errors import (
     BudgetExceededError,
     CoarseTDError,
     CompositionMismatchError,
-    DiameterExceededError,
     DisconnectedError,
     EmptySetError,
     InvalidDecompositionError,

@@ -51,18 +51,6 @@ class InvalidPartitionError(CoarseTDError):
     """Parts must be non-empty, pairwise disjoint, covering, and connected."""
 
 
-class DiameterExceededError(CoarseTDError):
-    """A partition part violates the required weak-diameter bound."""
-
-    def __init__(self, part, diameter, bound):
-        super().__init__(
-            f"part {sorted(part)} has weak diameter {diameter}, need < {bound}"
-        )
-        self.part = frozenset(part)
-        self.diameter = diameter
-        self.bound = bound
-
-
 class BudgetExceededError(CoarseTDError):
     """The achieved partition diameter exceeds the caller's budget."""
 

@@ -59,14 +59,7 @@ def _require(cond, msg):
 
 def gen_path(n):
     _require(n >= 1, "path needs n >= 1")
-    g = Graph(n, [(i, i + 1) for i in range(1, n)])
-    if n == 1:
-        td = TreeDecomposition(Graph(1), {1: frozenset([1])}, shape="path")
-    else:
-        bags = {i: frozenset([i, i + 1]) for i in range(1, n)}
-        tree = Graph(n - 1, [(i, i + 1) for i in range(1, n - 1)])
-        td = TreeDecomposition(tree, bags, shape="path")
-    return CorpusInstance(g, decomposition=td)
+    return gen_grid_slice(1, n)
 
 
 def gen_cycle(n):

@@ -34,7 +34,6 @@ from .decomposition import (
 )
 from .errors import (
     BudgetExceededError,
-    DiameterExceededError,
     DisconnectedError,
     EmptySetError,
     InvalidPartitionError,
@@ -43,6 +42,7 @@ from .errors import (
 from .exact import DEFAULT_CAP, _check_cap, bag_masks, independent_mask
 from .graph import (
     Graph,
+    _climb,
     bfs,
     induced_subgraph,
     is_bipartite,
@@ -62,7 +62,7 @@ class Partition:
     adjacent exactly when some edge crosses between them).
     """
 
-    __slots__ = ("graph", "parts", "index", "quotient", "_diameters")
+    __slots__ = ("graph", "parts", "index", "quotient", "_diameter")
 
     def __init__(self, g, parts):
         cleaned = []
@@ -100,14 +100,20 @@ class Partition:
             if a != b:
                 edges.add((a, b) if a < b else (b, a))
         self.quotient = Graph(len(self.parts), edges)
-        self._diameters = None
+        self._diameter = None
 
-    def diameters(self):
-        """Weak diameter of each part, in part order; computed once. The
-        parts are connected, so each is a number."""
-        if self._diameters is None:
-            self._diameters = tuple(weak_diameter(self.graph, p) for p in self.parts)
-        return self._diameters
+    @property
+    def diameter(self):
+        """The largest weak diameter of any part, computed once: one climb
+        of g's level masks over all the parts, or, where g does not fit
+        the next level, each part's weak diameter, which finishes on BFS
+        rows. The parts are connected, so it is a number."""
+        if self._diameter is None:
+            r, done = _climb(self.graph, self.parts)
+            if not done:
+                r = max(weak_diameter(self.graph, p) for p in self.parts)
+            self._diameter = r
+        return self._diameter
 
     def __len__(self):
         return len(self.parts)
@@ -116,17 +122,15 @@ class Partition:
         return f"Partition(parts={len(self.parts)}, n={self.graph.n})"
 
 
-def quotient_map(p, d):
-    """The contraction map p.graph -> p.quotient, measured; the parts must
-    have weak diameter strictly below d."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    g = p.graph
-    for part, diam in zip(p.parts, p.diameters()):
-        if diam >= d:
-            raise DiameterExceededError(part, diam, d)
-    phi = QuasiIsometryMap(g, p.quotient, dict(p.index))
-    return measure(g, p.quotient, phi, d)
+def quotient_map(p):
+    """The contraction map p.graph -> p.quotient, measured.
+
+    It is onto and 1-Lipschitz, and lifting a quotient path one part at a
+    time gives dist_G <= (D + 1) * dist_Q + D for D = p.diameter, so it is
+    a (D + 1)-quasi-isometry and the budget D + 1 never binds.
+    """
+    phi = QuasiIsometryMap(p.graph, p.quotient, p.index)
+    return measure(p.graph, p.quotient, phi, p.diameter + 1)
 
 
 def push_decomposition(td, p):
@@ -225,7 +229,7 @@ def bipartite_partition(g, budget=None):
     if not g.is_connected():
         raise DisconnectedError("bipartite partition needs a connected graph")
     partition = Partition(g, layered_parts(g))
-    diam = max(partition.diameters())
+    diam = partition.diameter
     method = "layering"
     if budget is not None and diam > budget:
         if g.n <= EXACT_PARTITION_LIMIT:
@@ -310,7 +314,7 @@ def ind_to_tw(g, td, *, budget=None):
     most k gives width at most 2k-1.
     """
     bp = bipartite_partition(g, budget=budget)
-    qmap = quotient_map(bp.partition, bp.max_diameter + 1)
+    qmap = quotient_map(bp.partition)
     pushed = push_decomposition(td, bp.partition)
     return IndToTwResult(qmap, pushed, bp.partition, bp.max_diameter)
 

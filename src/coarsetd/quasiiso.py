@@ -66,10 +66,7 @@ fits the certificate's radius c + c^2.
 The pullback's bags come with their witness. The piece of host vertex x
 is the set of g-vertices whose image lies within c of x, and bag t is the
 union of the pieces of its host bag's members: at most k + 1 pieces, for
-a host decomposition of width k. The CLI reads every piece's weak
-diameter in one climb of G's level masks (`graph._climb`, capped at
-3c^2), which settles that the bags are (k + 1, 3c^2)-centred; where the
-climb stops short, it runs the exact per-bag check instead.
+a host decomposition of width k.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from coarsetd import (
     EmptySetError,
     Graph,
     MalformedDecompositionError,
-    Partition,
     QuasiIsometryMap,
     TooLargeError,
     TreeDecomposition,
@@ -27,7 +26,6 @@ from coarsetd import (
     power_graph,
     pullback_decomposition,
     qi_constant,
-    quotient_map,
     run_pipeline,
     simwidth_pipeline,
     validate_decomposition,
@@ -53,8 +51,6 @@ INPUT_ERRORS = [
          EmptySetError, "treewidth of the empty graph is undefined"),
         ("power-exponent", lambda: power_graph(P3, -1, P3.vertices),
          ValueError, "power graph exponent must be >= 0"),
-        ("quotient-d", lambda: quotient_map(Partition(P3, [{1}, {2}, {3}]), 0),
-         ValueError, "d must be a positive integer"),
         ("partition-empty", lambda: bipartite_partition(Graph(0)),
          EmptySetError, "cannot partition the empty graph"),
         ("search-empty", lambda: minimum_diameter_bipartite_partition(Graph(0)),

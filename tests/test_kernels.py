@@ -54,6 +54,7 @@ from coarsetd import (
     power_graph,
     pullback_decomposition,
     qi_constant,
+    quotient_map,
     run_pipeline,
     sim_to_td,
     simval,
@@ -971,6 +972,35 @@ def test_the_climb_is_the_largest_weak_diameter(g, data):
         assert r == want if done else want is None or r < want
     if cap == inf or (want is not None and want <= cap):
         assert got[0] == (want, True, True)
+
+
+@given(inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_partition_diameter_is_the_largest_part_diameter(g, data):
+    """A partition's diameter is the oracle rows' largest part diameter,
+    whether one climb over the parts reads it or, with the 56-level rule
+    cut to 3, each part's rows finish it. The parts are g's layered parts
+    or the components of a random subset of g's edges, each edge kept with
+    chance 3/4 so that some parts are long enough for the rows. The
+    contraction measures the oracle's constant within the budget D + 1."""
+    if data.draw(st.booleans()):
+        parts = layered_parts(g)
+    else:
+        picks = data.draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+        kept = [e for e, keep in zip(sorted(g.edges), picks) if keep]
+        parts = Graph(g.n, kept).connected_components()
+    dm = distance_rows(g)
+    want = max(dm[u][v] for part in parts for u in part for v in part)
+    p = Partition(g, parts)
+    assert p.diameter == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coarsetd.graph, "MASK_LEVELS", 3)
+        x = fresh(g)
+        event(f"rows: {not x.fits(want)}")
+        assert Partition(x, parts).diameter == want
+    if g.is_connected():
+        q = quotient_map(p).measured_q
+        assert q == qi_constant_brute(g, p.quotient, p.index, want + 1)
 
 
 def test_weak_diameter_reads_rows_where_no_level_covers(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from coarsetd import (
     BudgetExceededError,
     CoarseTDError,
-    DiameterExceededError,
     DisconnectedError,
     Graph,
     InvalidDecompositionError,
@@ -113,19 +112,15 @@ def test_quotient_whole():
 def test_quotient_map_measured():
     g = cycle_graph(6)
     singles = Partition(g, [{v} for v in g.vertices])
-    assert quotient_map(singles, 1).measured_q == 1
+    assert singles.diameter == 0
+    assert quotient_map(singles).measured_q == 1
     pairs = Partition(g, [{1, 2}, {3, 4}, {5, 6}])
-    assert quotient_map(pairs, 2).measured_q == 2
-    assert quotient_map(pairs, 2).target is pairs.quotient
+    assert pairs.diameter == 1
+    assert quotient_map(pairs).measured_q == 2
+    assert quotient_map(pairs).target is pairs.quotient
     whole = Partition(g, [set(g.vertices)])
-    assert quotient_map(whole, 4).measured_q <= 4
-
-
-def test_quotient_map_diameter_precondition():
-    g = cycle_graph(6)
-    whole = Partition(g, [set(g.vertices)])
-    with pytest.raises(DiameterExceededError):
-        quotient_map(whole, 3)  # weak diameter 3, need < 3
+    assert whole.diameter == 3
+    assert quotient_map(whole).measured_q <= 4
 
 
 # ----------------------------------------------------------------- push
@@ -739,27 +734,28 @@ def _seed0_run_counting(monkeypatch, original):
 def test_each_part_diameter_measured_once(monkeypatch):
     import coarsetd.graph
 
-    report, calls = _seed0_run_counting(monkeypatch, coarsetd.graph.weak_diameter)
+    report, calls = _seed0_run_counting(monkeypatch, coarsetd.graph._climb)
     parts = report.components[0].stage2.partition.parts
-    # bipartite_partition takes the max and quotient_map checks each part,
-    # both from the partition's cached diameters
+    # bipartite_partition's maximum and quotient_map's budget both read the
+    # partition's one diameter, from one climb over all its parts; no other
+    # set's diameter is read
     assert len(parts) == 75
-    assert sorted(map(sorted, (part for _, part in calls))) == sorted(map(sorted, parts))
+    assert [args[1] for args in calls] == [parts]
 
 
 def test_certificates_are_not_remeasured(monkeypatch):
     """The sim-width route measures the weak diameter of the partition
-    parts only: its dominating-partition certificates are bounded by
-    construction."""
+    parts only, in one climb: its dominating-partition certificates are
+    bounded by construction."""
     import coarsetd.graph
     from coarsetd import simwidth_pipeline
 
     calls = []
-    kernel = coarsetd.graph.weak_diameter
+    kernel = coarsetd.graph._climb
 
-    def counting(g, s):
-        calls.append(s)
-        return kernel(g, s)
+    def counting(g, sets, *cap):
+        calls.append(sets)
+        return kernel(g, sets, *cap)
 
     _patch_everywhere(monkeypatch, kernel, counting)
     inst = generate_corpus(
@@ -768,7 +764,7 @@ def test_certificates_are_not_remeasured(monkeypatch):
     report = simwidth_pipeline(inst.graph, inst.branch_decomposition, cap=64)
     parts = report.pipeline.components[0].stage2.partition.parts
     assert len(report.pipeline.components) == 1 and len(parts) == 2
-    assert sorted(map(sorted, calls)) == sorted(map(sorted, parts))
+    assert calls == [parts]
 
 
 def test_checked_run_solves_no_bag_independence(monkeypatch):
