@@ -28,11 +28,8 @@ from .graph import (
 from .exact import (
     DEFAULT_CAP,
     TREEWIDTH_CAP,
-    dominating_mask,
     exact_chromatic_number,
     exact_treewidth,
-    independent_mask,
-    induced_masks,
     maximum_independent_set,
     minimum_dominating_set,
 )

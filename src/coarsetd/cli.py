@@ -34,8 +34,8 @@ from .exact import (
     DEFAULT_CAP,
     TREEWIDTH_CAP,
     _check_cap,
-    bag_masks,
-    dominating_mask,
+    _closed_masks,
+    _dominating,
     exact_treewidth,
 )
 from .graph import _climb
@@ -180,9 +180,11 @@ def _command(name, *flags, optional=(), valid=False, check=None):
 
 def _bag_domination(g, td, cap):
     """The largest exact domination number of a bag of td."""
-    per_bag = each_bag(
-        td, lambda bag: dominating_mask(bag_masks(g, bag, cap)).bit_count()
-    )
+    def gamma(bag):
+        closed = _closed_masks(g, bag, cap)[1]
+        return _dominating(closed, closed.keys()).bit_count()
+
+    per_bag = each_bag(td, gamma)
     return max(per_bag.values(), default=0)
 
 

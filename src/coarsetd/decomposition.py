@@ -20,10 +20,10 @@ from .errors import (
 from .exact import (
     DEFAULT_CAP,
     _check_cap,
+    _closed_masks,
+    _dominating,
     _first_k_coloring,
-    bag_masks,
-    dominating_mask,
-    independent_mask,
+    _independent,
 )
 from .graph import (
     Graph,
@@ -263,9 +263,9 @@ def bag_metrics(g, td, cap=DEFAULT_CAP):
     """
 
     def stat(bag):
-        adj = bag_masks(g, bag, cap)
-        alpha = independent_mask(adj).bit_count()
-        return BagStat(len(bag), alpha, dominating_mask(adj).bit_count())
+        within, closed = _closed_masks(g, bag, cap)
+        alpha = _independent(closed, within, 0).bit_count()
+        return BagStat(len(bag), alpha, _dominating(closed, closed.keys()).bit_count())
 
     solved = each_bag(td, stat)
     per_bag = {t: solved.get(t, BagStat(0, 0, 0)) for t in td.nodes}

@@ -4,15 +4,19 @@ Each solver takes an explicit size cap and raises TooLargeError rather than
 silently degrading. Greedy bounds are separate functions; their results are
 upper bounds, never passed off as exact values.
 
-The branch-and-bound kernels `independent_mask` and `dominating_mask` run on
-adjacency bitmasks. `induced_masks` builds those straight from the host graph
-for any list of its vertices, so a bag or a cut is solved without building a
-Graph; `maximum_independent_set` and `minimum_dominating_set` wrap the
-kernels for a whole Graph. `_dominating` is the one dominating search, over
-closed masks at any bit positions: `dominating_mask` gives it 0..n-1, and
-simwidth's certificates give it vertex ids off g's radius-1 level, which
-augment builds anyway (a call on a fresh graph builds it). The early exit of
-its greedy bound keeps the full scan's pick.
+The branch-and-bound kernels `_independent` and `_dominating` run on
+closed-neighbourhood bitmasks at any bit positions and return a witness
+bitmask. Every bag or whole-graph solve feeds them from `_closed_masks`,
+which reads vertex-id bits off g's radius-1 level: a member's mask is its
+level-1 mask ANDed with the members' bits, so no Graph is built and no
+vertex is relabelled. The Graph solvers here, `decomposition.bag_metrics`,
+run_pipeline's independence gate, the CLI's bag domination and simwidth's
+certificates all solve this way. The level is cached on g (augment builds
+it anyway); a call on a fresh graph builds it, about n^2/16 bytes.
+`exact_treewidth` shifts the whole graph's masks down to positions
+0..n-1, and the sim-width cut values give `_independent` closed conflict
+masks at 0..m-1. Position order is the id order of every tie-break, so a
+witness does not depend on where the bits sit.
 """
 
 from __future__ import annotations
@@ -29,57 +33,54 @@ def _check_cap(size, cap, what):
         raise TooLargeError(size, cap, what)
 
 
-def induced_masks(g, vs):
-    """Adjacency masks of g[vs]: entry i has bit j set when vs[i] and vs[j]
-    are adjacent in g. No Graph is built."""
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        yield (low := mask & -mask).bit_length() - 1
+        mask ^= low
+
+
+def _closed_masks(g, s, cap):
+    """(within, closed) for the vertex set s, once it passes the cap:
+    within holds the members' id bits, and closed maps each member, in id
+    order, to its closed neighbourhood in g[s], its mask in g's radius-1
+    level ANDed with within."""
+    vs = sorted(s)
+    _check_cap(len(vs), cap, "graph")
     check_vertices(g, vs)
-    bit = {v: 1 << i for i, v in enumerate(vs)}
-    keys = bit.keys()
-    return [sum(map(bit.__getitem__, keys & g.adjacency[v])) for v in vs]
+    ball, within = g.balls(1), sum(1 << v for v in vs)
+    return within, {v: ball[v] & within for v in vs}
 
 
-def bag_masks(g, bag, cap):
-    """induced_masks of g[bag] in id order, once the bag passes the cap."""
-    _check_cap(len(bag), cap, "graph")
-    return induced_masks(g, sorted(bag))
-
-
-def _members(mask, vs):
-    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-
-
-def independent_mask(adj):
-    """A maximum independent set of the graph with adjacency masks `adj`
-    (vertices 0..len(adj)-1), as a bitmask, by branch and bound."""
-    return _independent(adj, 0)
-
-
-def _independent(adj, beat):
-    """independent_mask's search for a set of more than `beat` vertices: the
-    first maximum one it finds, or 0 when there is none. A subtree is cut
-    when its chosen vertices plus a greedy clique cover of the rest (each
-    clique holds at most one member of an independent set) cannot beat the
-    best so far, so only subtrees that cannot improve on it are cut and the
-    witness is the one the search without the bound finds."""
+def _independent(closed, start, beat):
+    """A maximum independent set of more than `beat` vertices among the
+    positions of `start`, or 0 when there is none: the first maximum one
+    the search finds, as a bitmask. closed[i] is the mask of position i's
+    closed neighbourhood among them. A subtree is cut when its chosen
+    vertices plus a greedy clique cover of the rest (each clique holds at
+    most one member of an independent set) cannot beat the best so far, so
+    only subtrees that cannot improve on it are cut and the witness is the
+    one the search without the bound finds."""
     best_size, best = beat, 0
     # depth-first over an explicit stack, so depth is not bounded by the
     # interpreter's recursion limit; the take-v branch is popped first
-    stack = [((1 << len(adj)) - 1, 0, 0)]
+    stack = [(start, 0, 0)]
     while stack:
         mask, chosen, size = stack.pop()
         # one pass: vertices with no neighbour left in mask always join the
         # solution (dropping them changes no other degree); branch on a vertex
-        # of maximum remaining degree, lowest id on ties
+        # of maximum remaining degree, lowest id on ties. A closed mask counts
+        # the vertex itself, so deg is one more than its degree in mask
         free = 0
         v = -1
-        vdeg = 0
+        vdeg = 1
         m = mask
         while m:
             bit = m & -m
             m ^= bit
             i = bit.bit_length() - 1
-            deg = (adj[i] & mask).bit_count()
-            if deg == 0:
+            deg = (closed[i] & mask).bit_count()
+            if deg == 1:
                 free |= bit
             elif deg > vdeg:
                 vdeg = deg
@@ -99,38 +100,30 @@ def _independent(adj, beat):
             cliques += 1
             bit = rest & -rest
             rest ^= bit
-            grow = rest & adj[bit.bit_length() - 1]
+            grow = rest & closed[bit.bit_length() - 1]
             while grow:
                 bit = grow & -grow
                 rest ^= bit
-                grow &= adj[bit.bit_length() - 1]
+                # drop the grown vertex's own bit, which its closed mask holds
+                grow &= closed[bit.bit_length() - 1] ^ bit
         if not rest:
             continue
         vbit = 1 << v
         stack.append((mask & ~vbit, chosen, size))
-        stack.append((mask & ~(adj[v] | vbit), chosen | vbit, size + 1))
+        stack.append((mask & ~closed[v], chosen | vbit, size + 1))
     return best
 
 
 def maximum_independent_set(g, cap=DEFAULT_CAP):
     """A maximum independent set, found by branch and bound over bitmasks."""
-    _check_cap(g.n, cap, "graph")
-    return _members(independent_mask(induced_masks(g, g.vertices)), g.vertices)
-
-
-def dominating_mask(adj):
-    """A minimum dominating set of the graph with adjacency masks `adj`
-    (vertices 0..len(adj)-1, at least one), as a bitmask, by branch and
-    bound."""
-    return _dominating([a | 1 << i for i, a in enumerate(adj)], range(len(adj)))
+    within, closed = _closed_masks(g, g.vertices, cap)
+    return frozenset(_bits(_independent(closed, within, 0)))
 
 
 def _dominating(closed, vs):
-    """dominating_mask's search over any bit positions: `vs` lists the
-    vertices' positions in increasing order (at least one), and closed[v]
-    is the mask of v's closed neighbourhood among them. Position order is
-    the id order of every tie-break, so the witness does not depend on
-    where the bits sit."""
+    """A minimum dominating set, as a bitmask, by branch and bound: `vs`
+    lists the vertices' positions in increasing order (at least one), and
+    closed[v] is the mask of v's closed neighbourhood among them."""
     full = sum(1 << v for v in vs)
     # greedy upper bound: repeatedly take the vertex covering the most; the
     # first one that covers all that is left is the one the scan would pick
@@ -157,7 +150,7 @@ def _dominating(closed, vs):
     # branch on the undominated vertex with the fewest candidates, lowest id
     # on ties: the first undominated one in this fixed order
     order = sorted(vs, key=lambda i: (closed[i].bit_count(), i))
-    # depth-first over an explicit stack, as in independent_mask
+    # depth-first over an explicit stack, as in _independent
     stack = [(full, 0, 0)]
     while stack:
         undominated, chosen, count = stack.pop()
@@ -196,8 +189,8 @@ def minimum_dominating_set(g, cap=DEFAULT_CAP):
     """A minimum dominating set, by exact branch and bound."""
     if g.n == 0:
         raise EmptySetError("domination of the empty graph is undefined")
-    _check_cap(g.n, cap, "graph")
-    return _members(dominating_mask(induced_masks(g, g.vertices)), g.vertices)
+    closed = _closed_masks(g, g.vertices, cap)[1]
+    return frozenset(_bits(_dominating(closed, closed.keys())))
 
 
 def k_coloring(g, k):
@@ -263,8 +256,9 @@ def exact_chromatic_number(g, cap=DEFAULT_CAP):
     raise AssertionError("unreachable: every graph is n-colorable")
 
 
-def _reach_boundary_count(adj, inside, v):
-    """Future-degree of v once `inside` has been eliminated before it."""
+def _reach_boundary_count(closed, inside, v):
+    """Future-degree of v once `inside` has been eliminated before it;
+    closed[i] is the mask of position i's closed neighbourhood."""
     vbit = 1 << v
     allowed = inside | vbit
     seen = vbit
@@ -276,7 +270,7 @@ def _reach_boundary_count(adj, inside, v):
         while m:
             bit = m & -m
             m ^= bit
-            acc |= adj[bit.bit_length() - 1]
+            acc |= closed[bit.bit_length() - 1]
         nbrs |= acc
         frontier = acc & inside & ~seen
         seen |= frontier
@@ -293,9 +287,9 @@ def exact_treewidth(g, cap=TREEWIDTH_CAP):
 
     if g.n == 0:
         raise EmptySetError("treewidth of the empty graph is undefined")
-    _check_cap(g.n, cap, "graph")
     n = g.n
-    adj = induced_masks(g, g.vertices)
+    # vertex v sits at position v - 1
+    closed = [m >> 1 for m in _closed_masks(g, g.vertices, cap)[1].values()]
     size = 1 << n
     dp = [0] * size
     choice = [0] * size
@@ -310,7 +304,7 @@ def exact_treewidth(g, cap=TREEWIDTH_CAP):
             v = bit.bit_length() - 1
             rest = mask ^ bit
             val = dp[rest]
-            q = _reach_boundary_count(adj, rest, v)
+            q = _reach_boundary_count(closed, rest, v)
             if q > val:
                 val = q
             if val < best:

@@ -39,7 +39,7 @@ from .errors import (
     InvalidPartitionError,
     PreconditionError,
 )
-from .exact import DEFAULT_CAP, _check_cap, bag_masks, independent_mask
+from .exact import DEFAULT_CAP, _bits, _check_cap, _closed_masks, _independent
 from .graph import (
     Graph,
     _climb,
@@ -179,13 +179,6 @@ def augment(g, td, d):
     if h is g:
         return h, QuasiIsometryMap(g, h, {v: v for v in g.vertices}, measured_q=1)
     return h, measure(g, h, identity_map(g, h), max(d, 1))
-
-
-def _bits(mask):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        yield (low := mask & -mask).bit_length() - 1
-        mask ^= low
 
 
 def layered_parts(g):
@@ -416,7 +409,8 @@ def _pipeline_component(g, td, original_vertices, k, d, check_centred, budget, c
         def independence(bag):
             if len(bag) <= k:
                 return 0
-            return independent_mask(bag_masks(h, bag, cap)).bit_count()
+            within, closed = _closed_masks(h, bag, cap)
+            return _independent(closed, within, 0).bit_count()
 
         alpha = max(each_bag(td, independence).values(), default=0)
         if alpha > k:

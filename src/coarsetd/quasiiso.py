@@ -152,12 +152,10 @@ def _solve(g, h, phi, qmax, fibres):
     if g.fits(inf) and h.fits(inf):
         cover, pairs = _profile(g, h, phi)
         q = _fold(max(1, cover), pairs)[0]
-    elif (q := _floor(g, h, fibres)) is None or (
-        q <= qmax and not _lifts(g, h, fibres, q)
-    ):
-        # a floor past qmax is refused, and one the certificate holds at is
-        # the constant; else the pairs are streamed. h is connected, so the
-        # sweep from the image, the fibres' keys, reaches every vertex
+    elif (q := _floor(g, h, fibres, qmax)) is None:
+        # the floor settles nothing, so the pairs are streamed. h is
+        # connected, so the sweep from the image, the fibres' keys, reaches
+        # every vertex
         q = max(1, *bfs(h.adjacency, fibres).values())
         # g's vertices fibre by fibre: the pairs of a vertex with the ones
         # after it are read from its row or its fibre's row
@@ -184,17 +182,21 @@ def _solve(g, h, phi, qmax, fibres):
     return q
 
 
-def _floor(g, h, fibres):
-    """The least q with q^2 at least every fibre's weak diameter (two
-    members of a fibre lie 0 apart in h), or None where it is not read:
-    where the certificate cannot hold, for want of its first two
-    conditions or past the largest square c^2 at which g fits its radius
-    c + c^2."""
+def _floor(g, h, fibres, qmax):
+    """The floor where it is the constant, else None. The floor is the
+    least q with q^2 at least every fibre's weak diameter D (two members of
+    a fibre lie 0 apart in h); it is the constant past qmax, where it is
+    refused, and where the certificate holds at it. It is not read where
+    the certificate cannot hold: for want of its first two conditions, or
+    past the largest square c^2 at which g fits its radius c + c^2. The
+    certificate at q needs only its potentials on the D climbed here:
+    q^2 >= D, and D <= 2e keeps q within _lifts's clamp."""
     tops = [c * c for c in range(1, MASK_LEVELS) if g.fits(c + c * c)]
     if not tops or not _steps(g, h, fibres):
         return None
     d, done = _climb(g, fibres.values(), tops[-1])
-    return 1 + isqrt(max(d - 1, 0)) if done else None
+    q = 1 + isqrt(max(d - 1, 0))
+    return q if done and (q > qmax or _potentials(g, h, fibres, q, d)) else None
 
 
 def _close(g, fibre, slack):
@@ -341,12 +343,19 @@ def _lifts(g, h, fibres, c):
     if not g.fits(c + top) or not _steps(g, h, fibres):
         return False
     d, done = _climb(g, fibres.values(), top)
-    if not done:
-        return False
+    return done and _potentials(g, h, fibres, c, d)
+
+
+def _potentials(g, h, fibres, c, d):
+    """The certificate's last condition at c, for a map that meets its
+    first two and whose fibres have largest weak diameter d <= c^2: True
+    when potentials p(w) in 0..c^2 - d exist (module docstring).
+
+    The least potentials come by value iteration from 0: reach[y][r] is y's
+    reach mask, dropped when a potential in y's fibre rises; h.n <= g.n,
+    so reach never holds more masks than levels."""
+    top = c * c
     adj = h.adjacency
-    # the least potentials, by value iteration from 0: reach[y][r] is y's
-    # reach mask (module docstring), dropped when a potential in y's fibre
-    # rises; h.n <= g.n, so reach never holds more masks than levels
     levels = [g.balls(r) for r in range(c + top - d + 1)]
     p, reach, changed = [0] * (g.n + 1), {}, True
     while changed:

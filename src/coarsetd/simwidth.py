@@ -14,6 +14,7 @@ from .errors import EmptySetError, MalformedDecompositionError
 from .exact import (
     DEFAULT_CAP,
     _check_cap,
+    _closed_masks,
     _dominating,
     _independent,
 )
@@ -102,9 +103,9 @@ def _cut_value(g, cut, beat):
     The cut edges conflict when they share an endpoint or any graph edge
     joins their endpoints; an induced matching is an independent set in
     that conflict graph, found exactly. Cut edge (u, v) conflicts with every
-    cut edge at a vertex of {u, v} | N(u) | N(v), so its conflict mask is
-    reach[u] | reach[v], where reach[w] holds the cut edges at w or at a
-    neighbour of w.
+    cut edge at a vertex of {u, v} | N(u) | N(v), so its closed conflict
+    mask is reach[u] | reach[v], where reach[w] holds the cut edges at w or
+    at a neighbour of w.
     """
     at = {}
     for i, edge in enumerate(cut):
@@ -114,10 +115,8 @@ def _cut_value(g, cut, beat):
         w: reduce(or_, map(at.get, at.keys() & g.adjacency[w]), here)
         for w, here in at.items()
     }
-    conflicts = [
-        (reach[u] | reach[v]) & ~(1 << i) for i, (u, v) in enumerate(cut)
-    ]
-    return _independent(conflicts, beat).bit_count()
+    conflicts = [reach[u] | reach[v] for u, v in cut]
+    return _independent(conflicts, (1 << len(cut)) - 1, beat).bit_count()
 
 
 def _walk(g, bd, cap):
@@ -191,23 +190,18 @@ def dominating_partition(g, s, cap=DEFAULT_CAP):
     has weak diameter at most 2 in g and there are exactly gamma(g[s])
     pieces: a certificate that s is (gamma, 3)-centred.
 
-    The search runs on vertex-id bits, each member's mask in g's radius-1
-    level ANDed with the members' bits. simwidth_pipeline's augment builds
-    that level anyway; a call on a fresh graph builds it, as centred_check
-    builds g.balls(d). The early exit of the greedy bound keeps the greedy
-    pick, so the pieces are those of the search on g[s] relabelled.
+    The search runs on vertex-id bits off g's radius-1 level
+    (exact._closed_masks). simwidth_pipeline's augment builds that level
+    anyway; a call on a fresh graph builds it, as centred_check builds
+    g.balls(d).
     """
     members = frozenset(s)
     if not members:
         raise EmptySetError("cannot partition the empty set")
-    vs = sorted(members)
-    _check_cap(len(vs), cap, "graph")
-    check_vertices(g, vs)
-    ball, within = g.balls(1), sum(1 << v for v in vs)
-    closed = {v: ball[v] & within for v in vs}
-    chosen = _dominating(closed, vs)
-    groups = {v: [v] for v in vs if chosen >> v & 1}
-    for v in vs:
+    closed = _closed_masks(g, members, cap)[1]
+    chosen = _dominating(closed, closed.keys())
+    groups = {v: [v] for v in closed if chosen >> v & 1}
+    for v in closed:
         if v not in groups:
             # the lowest bit is the smallest-id adjacent dominator
             adjacent = closed[v] & chosen

@@ -9,7 +9,6 @@ from itertools import combinations, permutations, product
 from operator import or_
 
 from coarsetd import BranchDecomposition, Graph, TreeDecomposition, weak_diameter
-from coarsetd.exact import dominating_mask, induced_masks
 from coarsetd.graph import _climb
 from coarsetd.quasiiso import _steps
 
@@ -238,10 +237,24 @@ def plain_spread(adj, level):
     ]
 
 
+def induced_masks(g, vs):
+    """The relabelled masks of g[vs]: entry i has bit j set when vs[i] and
+    vs[j] are adjacent in g (open neighbourhoods at positions
+    0..len(vs)-1)."""
+    pos = {v: i for i, v in enumerate(vs)}
+    return [sum(1 << pos[w] for w in g.adjacency[v] if w in pos) for v in vs]
+
+
+def relabelled(found, vs):
+    """The vertices of vs at the set bits of a relabelled witness."""
+    return frozenset(v for i, v in enumerate(vs) if found >> i & 1)
+
+
 def plain_independent_mask(adj):
-    """The branch and bound of exact.independent_mask without its
-    clique-cover bound: the same search order, cut only when the chosen
-    vertices plus every vertex left cannot beat the best so far."""
+    """The branch and bound of exact._independent on open masks at
+    positions 0..len(adj)-1, without its clique-cover bound: the same
+    search order, cut only when the chosen vertices plus every vertex left
+    cannot beat the best so far."""
     best_size, best = 0, 0
     stack = [((1 << len(adj)) - 1, 0, 0)]
     while stack:
@@ -277,9 +290,10 @@ def plain_independent_mask(adj):
 
 
 def plain_dominating_mask(adj):
-    """The branch and bound of exact.dominating_mask without its packing
-    bound: the same greedy start and search order, cut only by the count of
-    undominated vertices over the largest closed neighbourhood."""
+    """The branch and bound of exact._dominating on open masks at positions
+    0..len(adj)-1, without its packing bound: the same greedy start and
+    search order, cut only by the count of undominated vertices over the
+    largest closed neighbourhood."""
     n = len(adj)
     closed = [adj[i] | (1 << i) for i in range(n)]
     full = (1 << n) - 1
@@ -318,23 +332,38 @@ def plain_dominating_mask(adj):
     return best
 
 
+def open_masks(closed, vs):
+    """The closed masks at positions vs relabelled to open masks at
+    positions 0..len(vs)-1."""
+    pos = {v: i for i, v in enumerate(vs)}
+    return [sum(1 << pos[w] for w in vs if w != v and closed[v] >> w & 1) for v in vs]
+
+
+def plain_independent(closed, start, beat):
+    """plain_independent_mask over any bit positions, with the signature of
+    exact._independent: relabel the positions of start to 0..m-1, search,
+    and map the witness back if it beats `beat`."""
+    vs = [i for i in range(start.bit_length()) if start >> i & 1]
+    found = plain_independent_mask(open_masks(closed, vs))
+    if found.bit_count() <= beat:
+        return 0
+    return sum(1 << v for v in relabelled(found, vs))
+
+
 def plain_dominating(closed, vs):
     """plain_dominating_mask over any bit positions, with the signature of
     exact._dominating: relabel the positions vs to 0..len(vs)-1, search,
     and map the witness back."""
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [sum(1 << pos[w] for w in vs if w != v and closed[v] >> w & 1) for v in vs]
-    found = plain_dominating_mask(adj)
-    return sum(1 << v for i, v in enumerate(vs) if found >> i & 1)
+    return sum(1 << v for v in relabelled(plain_dominating_mask(open_masks(closed, vs)), vs))
 
 
 def relabelled_dominating_partition(g, s):
     """dominating_partition on the relabelled masks of g[s]: the dominating
-    set of dominating_mask(induced_masks(g, sorted(s))), and each other
-    member in the piece of its smallest-id adjacent dominator."""
+    set of plain_dominating_mask(induced_masks(g, sorted(s))), and each
+    other member in the piece of its smallest-id adjacent dominator."""
     vs = sorted(s)
     adj = induced_masks(g, vs)
-    chosen = dominating_mask(adj)
+    chosen = plain_dominating_mask(adj)
     groups = {vs[i]: [vs[i]] for i in range(len(vs)) if chosen >> i & 1}
     for i, v in enumerate(vs):
         if v not in groups:

@@ -87,13 +87,13 @@ def test_independence_gate_solves_only_bags_over_k(monkeypatch):
     the gate of a waived run_pipeline neither solves it nor holds it to the
     cap."""
     sizes = []
-    solve = coarsetd.pipeline.independent_mask
+    solve = coarsetd.pipeline._independent
 
-    def counting(adj):
-        sizes.append(len(adj))
-        return solve(adj)
+    def counting(closed, start, beat):
+        sizes.append(start.bit_count())
+        return solve(closed, start, beat)
 
-    monkeypatch.setattr(coarsetd.pipeline, "independent_mask", counting)
+    monkeypatch.setattr(coarsetd.pipeline, "_independent", counting)
     # bag 2 has cap + 1 = 3 <= k vertices: it passes
     assert run_pipeline(
         path_graph(3), p3_wide_td(), 3, 1, check_centred=False, cap=2
@@ -157,17 +157,19 @@ def test_empty_bags_pass_and_get_no_certificate():
 @pytest.fixture
 def mis_calls(monkeypatch):
     """Sizes of the independent-set solves, through every module that binds
-    the kernel (the cut values bind its search with a bound to beat)."""
+    the kernel: the Graph solver, bag_metrics, the gate and the cut
+    values."""
     calls = []
     kernel = coarsetd.exact._independent
 
-    def counting(adj, beat=0):
-        calls.append(len(adj))
-        return kernel(adj, beat)
+    def counting(closed, start, beat):
+        calls.append(start.bit_count())
+        return kernel(closed, start, beat)
 
-    for module in (coarsetd.exact, coarsetd.decomposition, coarsetd.pipeline):
-        monkeypatch.setattr(module, "independent_mask", counting)
-    monkeypatch.setattr(coarsetd.simwidth, "_independent", counting)
+    for module in (
+        coarsetd.exact, coarsetd.decomposition, coarsetd.pipeline, coarsetd.simwidth
+    ):
+        monkeypatch.setattr(module, "_independent", counting)
     return calls
 
 

@@ -3,10 +3,12 @@ masks where `Graph.fits` allows them, uncached BFS rows elsewhere; every
 answer must be the same whichever kernel gives it, or the mix that a long
 graph reads (masks at small radii only), and the same as the oracle
 rows, which relax the edge set and share no code with either. The
-exact bitmask solvers on masks built straight from the host graph: the
-same witnesses as the Graph solvers on the induced subgraph, and the
-sizes of the brute-force oracles; on random masks, the witnesses of the
-plain search without their bounds; the dominating-partition
+exact bitmask solvers on vertex-id masks read off the host graph's
+radius-1 level: the same witnesses as the Graph solvers on the induced
+subgraph, and the sizes of the brute-force oracles; at the word edges,
+the witnesses of the plain searches on the relabelled masks; on random
+masks, the witnesses of the plain search without their bounds; the
+dominating-partition
 certificates against the oracle rows, and the exact centred check
 against the independence gate it stands in for. The tree questions on the component
 sweep: paths, branch widths, bags and validation against a BFS parent
@@ -42,12 +44,9 @@ from coarsetd import (
     centred_check,
     centred_check_decomposition,
     decomposition_from_order,
-    dominating_mask,
     dominating_partition,
     generate_corpus,
     identity_map,
-    independent_mask,
-    induced_masks,
     induced_subgraph,
     maximum_independent_set,
     minimum_dominating_set,
@@ -63,7 +62,7 @@ from coarsetd import (
     weak_diameter,
 )
 from coarsetd.cli import main
-from coarsetd.exact import _dominating, _independent
+from coarsetd.exact import _bits, _closed_masks, _dominating, _independent
 from coarsetd.fileio import emit_bd, emit_graph
 from coarsetd.generators import (
     FAMILIES,
@@ -87,11 +86,13 @@ from oracles import (
     brute_gamma,
     centred_brute,
     distance_rows,
+    induced_masks,
     plain_dominating,
     plain_dominating_mask,
     plain_independent_mask,
     plain_spread,
     qi_constant_brute,
+    relabelled,
     relabelled_dominating_partition,
     scan_sweep_path,
     side_cut_bags,
@@ -557,15 +558,11 @@ def test_threads_building_one_graphs_rows():
         sys.setswitchinterval(interval)
 
 
-def members(mask, vs):
-    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-
-
 @given(inputs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_mask_solvers_match_the_graph_solvers(g, data):
     """On any vertex list, singletons and all of V included, the kernels on
-    `induced_masks` give the witnesses of the Graph solvers on the induced
+    `_closed_masks` give the witnesses of the Graph solvers on the induced
     subgraph, and for up to 10 vertices the sizes of the oracles; simval
     gives the brute-force value on cuts of up to 12 edges."""
     everything = list(g.vertices)
@@ -574,13 +571,15 @@ def test_mask_solvers_match_the_graph_solvers(g, data):
         st.sets(st.sampled_from(everything), min_size=1, max_size=1),
         st.sets(st.sampled_from(everything), min_size=1),
     )))
-    adj = induced_masks(g, vs)
+    within, closed = _closed_masks(g, vs, len(vs))
     sub, _ = induced_subgraph(g, vs)
-    assert adj == [
-        sum(1 << (u - 1) for u in sub.adjacency[i + 1]) for i in range(len(vs))
-    ]
-    mis = members(independent_mask(adj), vs)
-    mds = members(dominating_mask(adj), vs)
+    assert within == sum(1 << v for v in vs)
+    assert closed == {
+        v: sum(1 << vs[u - 1] for u in sub.adjacency[i + 1]) | 1 << v
+        for i, v in enumerate(vs)
+    }
+    mis = frozenset(_bits(_independent(closed, within, 0)))
+    mds = frozenset(_bits(_dominating(closed, vs)))
     assert mis == {vs[u - 1] for u in maximum_independent_set(sub, len(vs))}
     assert mds == {vs[u - 1] for u in minimum_dominating_set(sub, len(vs))}
     if len(vs) <= 10:
@@ -590,6 +589,47 @@ def test_mask_solvers_match_the_graph_solvers(g, data):
     cut = [e for e in g.edges if (e[0] in side) != (e[1] in side)]
     if len(cut) <= 12:
         assert simval(g, side, cap=12) == simval_brute(g, side)
+
+
+WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def word_edge_subsets(draw):
+    """A random graph on n in WORD_EDGES vertices, of any density, and a set
+    of up to 16 of its vertices drawn mostly from ids next to the word
+    edges: 1, and 62..66, 126..130 where they exist, so bit 1 and bit n
+    are often members."""
+    n = draw(st.sampled_from(WORD_EDGES))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = Graph(n, [
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+    ])
+    edges = [v for v in (1, *range(62, 67), *range(126, 131)) if v <= n]
+    s = draw(st.sets(
+        st.one_of(st.sampled_from(edges), st.integers(1, n)), min_size=1, max_size=16
+    ))
+    return g, s
+
+
+@given(word_edge_subsets())
+@settings(max_examples=200, deadline=None)
+def test_id_bit_solves_match_the_relabelled_masks(case):
+    """On vertex-id bits at and around the word edges, the kernels on
+    `_closed_masks` give the independence and domination numbers and the
+    witnesses of the plain searches on the relabelled masks of g[s], and
+    `bag_metrics` reads the same two numbers."""
+    g, s = case
+    vs = sorted(s)
+    adj = induced_masks(g, vs)
+    within, closed = _closed_masks(g, s, 16)
+    mis = frozenset(_bits(_independent(closed, within, 0)))
+    mds = frozenset(_bits(_dominating(closed, closed.keys())))
+    assert mis == relabelled(plain_independent_mask(adj), vs)
+    assert mds == relabelled(plain_dominating_mask(adj), vs)
+    stat = bag_metrics(g, TreeDecomposition(Graph(1), {1: frozenset(s)}), cap=16).per_bag[1]
+    assert (stat.independence_number, stat.domination_number) == (len(mis), len(mds))
 
 
 @st.composite
@@ -614,10 +654,11 @@ def test_bounds_keep_the_plain_searchs_witnesses(adj):
     """The clique-cover and packing bounds cut only subtrees that cannot
     beat the best so far, so both kernels return the plain search's
     witness bitmask, and for up to 10 vertices the sizes of the oracles.
-    `_independent(adj, beat)` is 0 exactly when alpha <= beat, and
-    otherwise a maximum independent set."""
+    `_independent(closed, full, beat)` is 0 exactly when alpha <= beat,
+    and otherwise a maximum independent set."""
     n = len(adj)
-    mis, mds = independent_mask(adj), dominating_mask(adj)
+    closed, full = [a | 1 << i for i, a in enumerate(adj)], (1 << n) - 1
+    mis, mds = _independent(closed, full, 0), _dominating(closed, range(n))
     assert mis == plain_independent_mask(adj)
     assert mds == plain_dominating_mask(adj)
     alpha = mis.bit_count()
@@ -627,7 +668,7 @@ def test_bounds_keep_the_plain_searchs_witnesses(adj):
         ])
         assert alpha == brute_alpha(g) and mds.bit_count() == brute_gamma(g)
     for beat in range(n + 1):
-        found = _independent(adj, beat)
+        found = _independent(closed, full, beat)
         if alpha <= beat:
             assert found == 0
         else:
@@ -1062,9 +1103,9 @@ def test_branch_width_skips_cuts_that_cannot_raise_it(monkeypatch):
     calls = []
     kernel = coarsetd.simwidth._independent
 
-    def counting(adj, beat):
-        calls.append(len(adj))
-        return kernel(adj, beat)
+    def counting(closed, start, beat):
+        calls.append(start.bit_count())
+        return kernel(closed, start, beat)
 
     monkeypatch.setattr(coarsetd.simwidth, "_independent", counting)
     assert branch_width_sim(g, bd, cap=64) == 4

@@ -777,13 +777,13 @@ def test_checked_run_solves_no_bag_independence(monkeypatch):
     inst = gen_ktree(2, 200, random.Random(0))
     g, td = inst.graph, inst.decomposition
     sizes = []
-    solve = coarsetd.pipeline.independent_mask
+    solve = coarsetd.pipeline._independent
 
-    def counting(adj):
-        sizes.append(len(adj))
-        return solve(adj)
+    def counting(closed, start, beat):
+        sizes.append(start.bit_count())
+        return solve(closed, start, beat)
 
-    monkeypatch.setattr(coarsetd.pipeline, "independent_mask", counting)
+    monkeypatch.setattr(coarsetd.pipeline, "_independent", counting)
     checked = run_pipeline(g, td, 2, 1)
     assert sizes == []
     waived = run_pipeline(g, td, 2, 1, check_centred=False)

@@ -41,7 +41,7 @@ from coarsetd.cli import main
 from coarsetd.fileio import emit_graph, emit_map, emit_td
 from coarsetd.graph import _climb, bfs, single_source_distances
 from coarsetd.pipeline import Partition, layered_parts
-from coarsetd.quasiiso import _fibres, _floor, _lifts, _pullback
+from coarsetd.quasiiso import _fibres, _floor, _lifts, _potentials, _pullback
 from helpers import cycle_graph, path_graph
 from oracles import distance_rows, plain_lifts, qi_constant_brute
 
@@ -479,13 +479,15 @@ def path_ktree_quotients(draw):
 @settings(max_examples=300, deadline=None)
 def test_floor_the_certificate_holds_at_is_the_constant(maps):
     """Where the certificate holds at the floor that the widest fibre sets,
-    the floor is the oracle's constant."""
+    the floor is the oracle's constant, and the certificate from the
+    floor's own climb agrees with the whole one."""
     g, h, mapping = maps
     fibres = _fibres(g, h, QuasiIsometryMap(g, h, mapping), 1)
-    lo = _floor(g, h, fibres)
-    met = lo is not None and _lifts(g, h, fibres, lo)
+    lo = _floor(g, h, fibres, g.n + h.n)
+    met = lo is not None
     event(f"floor meets certificate: {met}")
     if met:
+        assert _lifts(g, h, fibres, lo)
         assert lo == qi_constant_brute(g, h, mapping, g.n + h.n)
 
 
@@ -669,7 +671,7 @@ def test_a_long_map_the_certificate_rejects_streams_rows(monkeypatch):
     g, h, phi, _ = far_member_map()
     assert not g.fits(inf)
     fibres = _fibres(g, h, phi, 10)
-    assert _floor(g, h, fibres) is None and not _lifts(g, h, fibres, 3)
+    assert _floor(g, h, fibres, 10) is None and not _lifts(g, h, fibres, 3)
 
     class Row(list):
         """A list that can be weakly referenced."""
@@ -694,25 +696,50 @@ def test_a_long_map_whose_floor_is_below_its_constant_streams_rows(monkeypatch):
     g, h, phi = inst.graph, inst.base_graph, inst.qi_map
     assert not g.fits(inf)
     fibres = _fibres(g, h, phi, 10)
-    assert _floor(g, h, fibres) == 1 and not _lifts(g, h, fibres, 1)
+    assert _floor(g, h, fibres, 0) == 1 and not _lifts(g, h, fibres, 1)
+    assert _floor(g, h, fibres, 10) is None
     rows = count_rows(monkeypatch)
     assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 2
     assert rows
 
 
+def test_a_streamed_measurement_reads_the_fibres_once(monkeypatch):
+    """The same subdivided path: the measurement checks the certificate's
+    first two conditions and climbs the fibres once, for the floor and the
+    certificate at it both, before it streams its rows."""
+    inst = gen_subdivided_ktree(1, 60, 1, random.Random(0), "path")
+    g, h, phi = inst.graph, inst.base_graph, inst.qi_map
+    steps, climbs = [], []
+    step, climb = coarsetd.quasiiso._steps, coarsetd.quasiiso._climb
+
+    def counting_steps(g, h, fibres):
+        steps.append(len(fibres))
+        return step(g, h, fibres)
+
+    def counting_climb(g, sets, cap):
+        climbs.append(cap)
+        return climb(g, sets, cap)
+
+    monkeypatch.setattr(coarsetd.quasiiso, "_steps", counting_steps)
+    monkeypatch.setattr(coarsetd.quasiiso, "_climb", counting_climb)
+    rows = count_rows(monkeypatch)
+    assert qi_constant(g, h, phi, 10) == 2
+    assert rows and len(steps) == 1 and len(climbs) == 1
+
+
 def test_pullback_refusal_runs_the_certificate_at_c_and_at_the_floor(monkeypatch):
     """The same subdivided path at c = 1: the pullback's certificate fails
-    at c, and the measurement that refuses c runs it once more, at its
-    floor, which is c too."""
+    at c, and the measurement that refuses c runs its potentials once
+    more, at its floor, which is c too."""
     inst = gen_subdivided_ktree(1, 60, 1, random.Random(0), "path")
     g, h, phi = inst.graph, inst.base_graph, inst.qi_map
     calls = []
 
-    def counting(g, h, fibres, c):
+    def counting(g, h, fibres, c, d):
         calls.append(c)
-        return _lifts(g, h, fibres, c)
+        return _potentials(g, h, fibres, c, d)
 
-    monkeypatch.setattr(coarsetd.quasiiso, "_lifts", counting)
+    monkeypatch.setattr(coarsetd.quasiiso, "_potentials", counting)
     with pytest.raises(NotWithinError) as raised:
         pullback_decomposition(g, h, phi, inst.base_decomposition, 1)
     assert str(raised.value) == str(NotWithinError(1)) and raised.value.qmax == 1
@@ -724,7 +751,7 @@ def test_a_long_map_that_is_not_onto_streams_rows(monkeypatch):
     constant, the coverage radius 2, is streamed from rows."""
     g, h = path_graph(60), path_graph(62)
     phi = identity_map(g, h)
-    assert not g.fits(inf) and _floor(g, h, _fibres(g, h, phi, 10)) is None
+    assert not g.fits(inf) and _floor(g, h, _fibres(g, h, phi, 10), 10) is None
     rows = count_rows(monkeypatch)
     assert qi_constant(g, h, phi, 10) == qi_constant_brute(g, h, phi.mapping, 10) == 2
     assert rows

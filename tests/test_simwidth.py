@@ -24,7 +24,7 @@ from helpers import complete_graph, cycle_graph, edgeless_graph, path_graph, sta
 from oracles import (
     is_induced_matching,
     plain_dominating,
-    plain_independent_mask,
+    plain_independent,
     simval_brute,
 )
 
@@ -396,10 +396,6 @@ def on_plain_searches(monkeypatch, g, bd):
         found = plain_dominating(closed, vs)
         same.append(found == kernel(closed, vs))
         return found
-
-    def plain_independent(adj, beat):
-        found = plain_independent_mask(adj)
-        return found if found.bit_count() > beat else 0
 
     with monkeypatch.context() as patched:
         patched.setattr(coarsetd.simwidth, "_dominating", plain_search)
